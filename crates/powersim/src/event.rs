@@ -39,6 +39,15 @@ use crate::{
 /// so crossings land on exactly the fixed-step grid step.
 const GUARD_BAND_V: f64 = 1e-3;
 
+/// Guard band below a [`EventStepper::run_idle_until`] level, in
+/// open-circuit terms. Unloaded chunks solve the node exactly (the
+/// expansion is linear), so their committed states track literal steps to
+/// rounding (~1e-13 V); the band only has to dwarf that, not the loaded
+/// Taylor error [`GUARD_BAND_V`] covers. A 1 mV band here would real-step
+/// every idle span's last few hundred steps — one idle span per dispatch
+/// in a scheduler trial.
+const LEVEL_BAND_V: f64 = 1e-6;
+
 /// Maximum node movement per Taylor anchor. The second-order expansion's
 /// truncation error grows with the cube of this, so 2 mV keeps worst-case
 /// per-step error near 1e-10 V (an order under the 1e-9 V equivalence
@@ -249,6 +258,12 @@ impl<'a> EventStepper<'a> {
         self.capable
     }
 
+    /// The plant being stepped, for read-only inspection between spans.
+    #[must_use]
+    pub fn system(&self) -> &PowerSystem {
+        self.sys
+    }
+
     /// The node voltage solved at the most recent step, as
     /// [`PowerSystem::step`]'s return would have reported it.
     #[must_use]
@@ -302,6 +317,83 @@ impl<'a> EventStepper<'a> {
         match self.run_plan(profile, steps, offset, brk, &mut acc, &mut sink) {
             None => SpanEnd::Completed,
             Some((steps, out)) => SpanEnd::Broke { steps, out },
+        }
+    }
+
+    /// Runs up to `steps` unloaded steps, stopping after the first step
+    /// whose post-step [`PowerSystem::v_node`] reaches `level` (if any) or
+    /// whose monitor state differs from the state at span start.
+    ///
+    /// Semantically equivalent (to ~1e-12 V) to the literal loop
+    /// `sys.step(0, dt)` + break check. Chunks stop a 1 µV band short of
+    /// `level` in open-circuit terms and the crossing itself is
+    /// real-stepped, so the break lands on the grid step the literal loop
+    /// would pick. The output in [`SpanEnd::Broke`] is the breaking
+    /// step's (synthesised from the chunk state when the crossing falls on
+    /// a chunk's last step).
+    pub fn run_idle_until(&mut self, steps: usize, level: Option<Volts>) -> SpanEnd {
+        let start = self.sys.monitor().state();
+        let reached = |sys: &PowerSystem| level.is_some_and(|l| sys.v_node() >= l);
+        let mut acc = Acc::new();
+        let mut sink: Sink<'_> = None;
+        let mut k = 0;
+        while k < steps {
+            let remaining = steps - k;
+            let mut done = 0;
+            if let Some((charge, phase_steps)) =
+                self.span_action(Amps::ZERO, remaining, BreakOn::Never)
+            {
+                if let Some(mut prep) = self.prepare_chunk(Amps::ZERO, charge) {
+                    if let Some(level) = level {
+                        prep.params.hi = prep.params.hi.min(self.level_bound(&prep, level.get()));
+                    }
+                    done = self.run_prepared(&prep, phase_steps, &mut acc, &mut sink);
+                }
+            }
+            if done > 0 {
+                k += done;
+                // Every committed step but the last left a state the next
+                // step's bound checked; only the last can have crossed.
+                if reached(self.sys) {
+                    let out = StepOutput {
+                        t: self.sys.time(),
+                        v_node: self.sys.last_v(),
+                        i_in: Amps::ZERO,
+                        delivering: false,
+                        collapsed: false,
+                        monitor: start,
+                    };
+                    return SpanEnd::Broke { steps: k, out };
+                }
+                continue;
+            }
+            for _ in 0..remaining.min(REAL_BLOCK) {
+                #[cfg(test)]
+                REAL_STEPS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let out = self.sys.step(Amps::ZERO, Seconds::new(self.dt));
+                k += 1;
+                if out.monitor != start || reached(self.sys) {
+                    return SpanEnd::Broke { steps: k, out };
+                }
+            }
+        }
+        SpanEnd::Completed
+    }
+
+    /// Upper bound on an unloaded chunk's solved node voltage `v` that keeps
+    /// every step's *pre-step* open-circuit voltage `v − i_charge/G` a guard
+    /// band under `level`. Constant charge shifts the bound by `i/G`;
+    /// constant power's `i = p/v_prev` is bounded below through the largest
+    /// `v_prev` the chunk can see — the anchor's, or the bound itself, whose
+    /// fixed point `h = L + p/(G·h)` closes the circularity.
+    fn level_bound(&self, prep: &ChunkPrep, level: f64) -> f64 {
+        let l = level - LEVEL_BAND_V;
+        if prep.is_cp {
+            let pg = prep.params.p_pow / self.g;
+            let h = 0.5 * (l + (l * l + 4.0 * pg).sqrt());
+            l + pg / h.max(prep.params.v_prev)
+        } else {
+            l + prep.ic / self.g
         }
     }
 
@@ -485,6 +577,17 @@ impl<'a> EventStepper<'a> {
         let Some(prep) = self.prepare_chunk(i_load, charge) else {
             return 0;
         };
+        self.run_prepared(&prep, max_steps, acc, sink)
+    }
+
+    /// Runs and commits an anchored chunk (see [`EventStepper::run_chunk`]).
+    fn run_prepared(
+        &mut self,
+        prep: &ChunkPrep,
+        max_steps: usize,
+        acc: &mut Acc,
+        sink: &mut Sink<'_>,
+    ) -> usize {
         let mut y = prep.y;
         let sums = if let Some(f) = sink.as_mut() {
             let monitor = self.sys.monitor().state();
@@ -526,7 +629,7 @@ impl<'a> EventStepper<'a> {
                 &mut |_, _| {},
             )
         };
-        self.commit_chunk(&prep, &y, &sums, acc);
+        self.commit_chunk(prep, &y, &sums, acc);
         sums.done
     }
 

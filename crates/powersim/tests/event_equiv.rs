@@ -8,10 +8,14 @@
 //! and real-steps the rest — and this suite checks the construction from
 //! outside: a randomized property over plants, harvesters, and
 //! multi-segment profiles, plus a unit battery pinning the crossing
-//! detection at the `V_high`/`V_off` boundaries and degenerate segments.
+//! detection at the `V_high`/`V_off` boundaries and degenerate segments,
+//! and the idle-span break of `EventStepper::run_idle_until` (the step
+//! the open-circuit voltage reaches a level or the monitor changes state).
 
 use culpeo_loadgen::LoadProfile;
-use culpeo_powersim::{Harvester, Kernel, PowerSystem, RunConfig};
+use culpeo_powersim::{
+    EventStepper, Harvester, Kernel, MonitorState, PowerSystem, RunConfig, SpanEnd,
+};
 use culpeo_units::{Amps, Farads, Ohms, Seconds, Volts, Watts};
 use proptest::prelude::*;
 
@@ -210,4 +214,148 @@ fn sub_step_burst_periods_agree() {
         .build();
     let sys = plant(45.0, 2.0, 2.25, Harvester::Off);
     assert_kernels_agree(&sys, &profile, probe_cfg(10.0));
+}
+
+// ---- idle spans: the open-circuit level / monitor-change break ----
+
+/// The literal loop `EventStepper::run_idle_until` replaces: unloaded
+/// steps until the post-step open-circuit voltage reaches `level` or the
+/// monitor leaves its starting state. Returns the breaking step's count.
+fn reference_idle(
+    sys: &mut PowerSystem,
+    steps: usize,
+    level: Option<Volts>,
+    dt: Seconds,
+) -> Option<usize> {
+    let start = sys.monitor().state();
+    for k in 1..=steps {
+        let out = sys.step(Amps::ZERO, dt);
+        if out.monitor != start || level.is_some_and(|l| sys.v_node() >= l) {
+            return Some(k);
+        }
+    }
+    None
+}
+
+/// Runs an idle span both ways and checks the break lands on the same
+/// step, with the same monitor state and plant voltage (within 1e-9 V).
+fn assert_idle_agrees(sys: &PowerSystem, steps: usize, level: Option<Volts>) -> Option<usize> {
+    let dt = Seconds::from_micro(100.0);
+    let mut fixed_sys = sys.clone();
+    let mut event_sys = sys.clone();
+    let fixed = reference_idle(&mut fixed_sys, steps, level, dt);
+    let event = match EventStepper::new(&mut event_sys, dt).run_idle_until(steps, level) {
+        SpanEnd::Completed => None,
+        SpanEnd::Broke { steps, .. } => Some(steps),
+    };
+    assert_eq!(
+        fixed, event,
+        "idle break step: fixed {fixed:?} event {event:?}"
+    );
+    assert_eq!(fixed_sys.monitor().state(), event_sys.monitor().state());
+    assert!(
+        (fixed_sys.v_node() - event_sys.v_node()).abs().get() < 1e-9,
+        "plant state diverged: fixed {} event {}",
+        fixed_sys.v_node(),
+        event_sys.v_node()
+    );
+    fixed
+}
+
+/// Constant current, constant power, and a window whose flips fall
+/// between grid steps (a flip exactly on a step is decided by the last
+/// ulp of the summed clock, which chunked and literal stepping round
+/// differently).
+fn charging_harvesters() -> [Harvester; 3] {
+    [
+        Harvester::ConstantCurrent(Amps::from_milli(3.0)),
+        Harvester::ConstantPower(Watts::from_milli(5.0)),
+        Harvester::Windowed {
+            i: Amps::from_milli(4.0),
+            period: Seconds::from_milli(50.37),
+            duty: 0.5,
+            phase: Seconds::from_micro(13.0),
+        },
+    ]
+}
+
+#[test]
+fn idle_level_crossing_mid_span_agrees() {
+    for h in charging_harvesters() {
+        let sys = plant(15.0, 10.0, 2.2, h);
+        let at = assert_idle_agrees(&sys, 200_000, Some(Volts::new(2.25)));
+        assert!(at.is_some_and(|k| k > 100), "{h:?}: level never reached");
+    }
+}
+
+#[test]
+fn idle_level_inside_guard_band_at_span_start() {
+    // Levels from sub-µV to a few mV above the starting open-circuit
+    // voltage: inside the level band, inside the threshold guard band,
+    // and just outside both.
+    for h in charging_harvesters() {
+        let sys = plant(45.0, 3.3, 2.3, h);
+        let v_oc = sys.v_node().get();
+        for dv in [2e-7, 9e-7, 5e-6, 4e-4, 9e-4, 1.5e-3, 4e-3] {
+            let at = assert_idle_agrees(&sys, 100_000, Some(Volts::new(v_oc + dv)));
+            assert!(at.is_some(), "{h:?} +{dv}: level never reached");
+        }
+    }
+}
+
+#[test]
+fn idle_reenables_at_v_high_after_brownout() {
+    // Brown the plant out, then idle with no reachable level: the span
+    // must end on the step the monitor re-enables at V_high.
+    for h in [
+        Harvester::ConstantCurrent(Amps::from_milli(20.0)),
+        Harvester::ConstantPower(Watts::from_milli(40.0)),
+    ] {
+        let mut sys = plant(15.0, 3.3, 1.62, h);
+        let dt = Seconds::from_micro(100.0);
+        while sys.monitor().output_enabled() {
+            let _ = sys.step(Amps::from_milli(60.0), dt);
+        }
+        assert_eq!(sys.monitor().state(), MonitorState::Recharging);
+        let at = assert_idle_agrees(&sys, 2_000_000, None);
+        assert!(at.is_some(), "{h:?}: never re-enabled");
+    }
+}
+
+#[test]
+fn idle_on_incapable_windowed_plant_agrees() {
+    // A window period under 4·dt puts the plant out of the chunk model's
+    // scope: every step is literal, and the break must still agree.
+    let h = Harvester::Windowed {
+        i: Amps::from_milli(5.0),
+        period: Seconds::from_micro(300.0),
+        duty: 0.5,
+        phase: Seconds::ZERO,
+    };
+    let sys = plant(15.0, 3.3, 2.3, h);
+    let dt = Seconds::from_micro(100.0);
+    assert!(!EventStepper::new(&mut sys.clone(), dt).capable());
+    let at = assert_idle_agrees(&sys, 50_000, Some(Volts::new(2.302)));
+    assert!(at.is_some());
+}
+
+#[test]
+fn idle_level_already_reached_breaks_after_one_step() {
+    for h in [
+        Harvester::Off,
+        Harvester::ConstantPower(Watts::from_milli(5.0)),
+    ] {
+        let sys = plant(45.0, 3.3, 2.3, h);
+        let level = Volts::new(sys.v_node().get() - 1e-3);
+        assert_eq!(assert_idle_agrees(&sys, 1_000, Some(level)), Some(1));
+    }
+}
+
+#[test]
+fn idle_without_reachable_level_runs_to_completion() {
+    let sys = plant(45.0, 3.3, 2.3, Harvester::Off);
+    assert_eq!(
+        assert_idle_agrees(&sys, 30_000, Some(Volts::new(2.4))),
+        None
+    );
 }
