@@ -13,15 +13,9 @@ use culpeo_faults::chaos::BatteryReport;
 /// `scripts/chaos.sh` so every surface reproduces the same battery.
 pub const DEFAULT_SEED: u64 = 42;
 
-/// Runs the battery under the harness conventions.
+/// Runs the battery under the harness conventions, with phase telemetry.
 #[must_use]
-pub fn run(seed: u64) -> BatteryReport {
-    run_timed(Sweep::from_env(), seed).0
-}
-
-/// [`run`] on an explicit executor, with phase telemetry.
-#[must_use]
-pub fn run_timed(sweep: Sweep, seed: u64) -> (BatteryReport, Telemetry) {
+pub fn run(sweep: Sweep, seed: u64) -> (BatteryReport, Telemetry) {
     crate::preflight::require_clean_reference();
     let mut clock = PhaseClock::new(sweep.threads());
     clock.mark("preflight");
@@ -41,7 +35,7 @@ mod tests {
 
     #[test]
     fn battery_passes_under_the_harness_envelope() {
-        let (report, telemetry) = run_timed(Sweep::with_threads(2), DEFAULT_SEED);
+        let (report, telemetry) = run(Sweep::with_threads(2), DEFAULT_SEED);
         assert!(report.all_passed(), "{}", report.render_table());
         assert!(telemetry.phase_seconds("battery").is_some());
         let table = report.render_table();

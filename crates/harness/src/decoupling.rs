@@ -45,16 +45,11 @@ fn load() -> LoadProfile {
 }
 
 /// Sweeps decoupling capacitance from none to the paper's abnormally high
-/// 6.4 mF and reports the surviving ESR drop.
+/// 6.4 mF and reports the surviving ESR drop, with phase telemetry. Each
+/// decoupling configuration measures on its own plant — one sweep cell
+/// each.
 #[must_use]
-pub fn run() -> Vec<DecouplingRow> {
-    run_timed(Sweep::from_env()).0
-}
-
-/// [`run`] on an explicit executor, with phase telemetry. Each decoupling
-/// configuration measures on its own plant — one sweep cell each.
-#[must_use]
-pub fn run_timed(sweep: Sweep) -> (Vec<DecouplingRow>, Telemetry) {
+pub fn run(sweep: Sweep) -> (Vec<DecouplingRow>, Telemetry) {
     crate::preflight::require_clean_reference();
     let mut clock = PhaseClock::new(sweep.threads());
     let configs: [Option<f64>; 6] = [
@@ -104,7 +99,7 @@ mod tests {
 
     #[test]
     fn decoupling_helps_but_does_not_fix() {
-        let rows = run();
+        let rows = run(Sweep::serial()).0;
         let none = rows[0];
         let most = rows[rows.len() - 1];
         // Decoupling reduces the drop…
@@ -120,7 +115,7 @@ mod tests {
 
     #[test]
     fn drop_is_monotone_in_decoupling() {
-        let rows = run();
+        let rows = run(Sweep::serial()).0;
         for w in rows.windows(2) {
             assert!(
                 w[1].esr_drop_v <= w[0].esr_drop_v + 1e-6,
@@ -131,7 +126,7 @@ mod tests {
 
     #[test]
     fn undecoupled_drop_is_substantial() {
-        let rows = run();
+        let rows = run(Sweep::serial()).0;
         // 50 mA through ~4.5 Ω of effective ESR (plus booster inflation):
         // hundreds of millivolts.
         assert!(rows[0].esr_drop_v > 0.25, "drop = {}", rows[0].esr_drop_v);

@@ -4,6 +4,7 @@
 //! energy-consumption drop alone; the difference — the "missed drop" — is
 //! what energy-only charge management never sees.
 
+use culpeo_exec::{PhaseClock, Telemetry};
 use culpeo_loadgen::synthetic::PulseLoad;
 use culpeo_powersim::{RunConfig, VoltageSample};
 use culpeo_units::{Amps, Seconds, Volts};
@@ -41,9 +42,10 @@ pub struct Fig01 {
 }
 
 /// Runs the Figure 1(b) experiment: a 25 mA / 10 ms pulse with a compute
-/// tail, from 2.2 V on the reference bank.
+/// tail, from 2.2 V on the reference bank, with phase telemetry.
 #[must_use]
-pub fn run() -> Fig01 {
+pub fn run() -> (Fig01, Telemetry) {
+    let mut clock = PhaseClock::new(1);
     crate::preflight::require_clean_reference();
     let mut sys = reference_plant();
     sys.set_buffer_voltage(Volts::new(2.2));
@@ -65,7 +67,7 @@ pub fn run() -> Fig01 {
             v_cap: v_node.get(),
         })
         .collect();
-    Fig01 {
+    let fig = Fig01 {
         v_before: out.v_start.get(),
         v_min: out.v_min.get(),
         v_after: out.v_final.get(),
@@ -73,7 +75,9 @@ pub fn run() -> Fig01 {
         energy_drop: (out.v_start - out.v_final).get(),
         missed_drop: out.v_delta().get(),
         trace,
-    }
+    };
+    clock.mark("run");
+    (fig, clock.finish())
 }
 
 /// Prints the annotated drops as the paper describes them.
@@ -103,7 +107,7 @@ mod tests {
 
     #[test]
     fn missed_drop_dominates_energy_drop() {
-        let fig = run();
+        let fig = run().0;
         // The paper's headline: the ESR drop (0.35 V there) exceeds the
         // energy drop (0.25 V there). Shapes differ with parameters; we
         // require the missed drop to be substantial and comparable.
@@ -120,7 +124,7 @@ mod tests {
 
     #[test]
     fn trace_shows_dip_and_rebound() {
-        let fig = run();
+        let fig = run().0;
         assert!(fig.trace.len() > 50);
         let min_in_trace = fig
             .trace

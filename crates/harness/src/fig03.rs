@@ -2,6 +2,7 @@
 //! technologies.
 
 use culpeo_capbank::{Catalog, Technology};
+use culpeo_exec::{PhaseClock, Telemetry};
 use culpeo_units::Farads;
 use serde::Serialize;
 
@@ -22,12 +23,14 @@ pub struct BankRow {
     pub dcl_amps: f64,
 }
 
-/// Builds the full Figure 3 point cloud for 45 mF banks.
+/// Builds the full Figure 3 point cloud for 45 mF banks, with phase
+/// telemetry.
 #[must_use]
-pub fn run() -> Vec<BankRow> {
+pub fn run() -> (Vec<BankRow>, Telemetry) {
+    let mut clock = PhaseClock::new(1);
     crate::preflight::require_clean_reference();
     let catalog = Catalog::synthetic();
-    catalog
+    let rows = catalog
         .bank_sweep(Farads::from_milli(45.0))
         .into_iter()
         .map(|b| BankRow {
@@ -38,7 +41,9 @@ pub fn run() -> Vec<BankRow> {
             esr_ohms: b.esr().get(),
             dcl_amps: b.leakage().get(),
         })
-        .collect()
+        .collect();
+    clock.mark("run");
+    (rows, clock.finish())
 }
 
 /// Prints the per-technology design corners the paper annotates.
@@ -75,7 +80,7 @@ mod tests {
 
     #[test]
     fn reproduces_the_papers_corners() {
-        let rows = run();
+        let rows = run().0;
         let sc = smallest(&rows, Technology::Supercapacitor);
         let ta = smallest(&rows, Technology::Tantalum);
         let cc = smallest(&rows, Technology::Ceramic);
@@ -100,7 +105,7 @@ mod tests {
 
     #[test]
     fn point_cloud_covers_all_technologies() {
-        let rows = run();
+        let rows = run().0;
         for tech in Technology::ALL {
             let n = rows.iter().filter(|r| r.technology == tech.label()).count();
             assert!(n >= 100, "{tech}: {n} points");

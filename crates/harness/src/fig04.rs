@@ -11,6 +11,7 @@
 //! drop arises at ~5 Ω of ESR (plus the 100 ms droop). The phenomenon — power-off with ample
 //! stored energy — is identical.
 
+use culpeo_exec::{PhaseClock, Telemetry};
 use culpeo_loadgen::peripheral::LoRaRadio;
 use culpeo_powersim::{PowerSystem, RunConfig};
 use culpeo_units::{Farads, Ohms, Volts};
@@ -49,9 +50,10 @@ fn fig04_plant() -> PowerSystem {
 }
 
 /// Sweeps starting voltages across the operating range and reports where
-/// the LoRa packet survives.
+/// the LoRa packet survives, with phase telemetry.
 #[must_use]
-pub fn run() -> Vec<Fig04Row> {
+pub fn run() -> (Vec<Fig04Row>, Telemetry) {
+    let mut clock = PhaseClock::new(1);
     crate::preflight::require_clean_reference();
     let load = LoRaRadio::default().profile();
     let mut rows = Vec::new();
@@ -71,7 +73,8 @@ pub fn run() -> Vec<Fig04Row> {
             v_min: out.v_min.get(),
         });
     }
-    rows
+    clock.mark("run");
+    (rows, clock.finish())
 }
 
 /// Prints the survival boundary and the stranded energy.
@@ -99,7 +102,7 @@ mod tests {
 
     #[test]
     fn failures_strand_most_of_the_energy() {
-        let rows = run();
+        let rows = run().0;
         let failed: Vec<_> = rows.iter().filter(|r| !r.completed).collect();
         assert!(!failed.is_empty(), "some starting voltages must fail");
         for r in &failed {
@@ -124,7 +127,7 @@ mod tests {
 
     #[test]
     fn survival_is_monotone_in_v_start() {
-        let rows = run();
+        let rows = run().0;
         // Once a start voltage completes, every higher one does too.
         let first_ok = rows.iter().position(|r| r.completed).unwrap();
         assert!(rows[first_ok..].iter().all(|r| r.completed));
@@ -135,7 +138,7 @@ mod tests {
     fn boundary_is_well_inside_the_operating_range() {
         // The paper's 10 Ω example puts the survival boundary around
         // 62.5 % of the range above V_off — far above V_off itself.
-        let rows = run();
+        let rows = run().0;
         let boundary = rows.iter().find(|r| r.completed).unwrap().v_start;
         assert!(
             boundary > 1.9,

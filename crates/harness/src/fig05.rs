@@ -104,17 +104,11 @@ fn schedule(model: &PowerSystemModel, sweep: Sweep) -> Vec<(Seconds, LoadProfile
 }
 
 /// Runs the Figure 5 experiment: evaluate both feasibility tests, then
-/// execute the schedule on the plant.
-#[must_use]
-pub fn run() -> Fig05 {
-    run_timed(Sweep::from_env()).0
-}
-
-/// [`run`] on an explicit executor, with phase telemetry. The per-task
+/// execute the schedule on the plant, with phase telemetry. The per-task
 /// profiling fans out; the schedule execution is inherently serial (one
 /// plant, one timeline).
 #[must_use]
-pub fn run_timed(sweep: Sweep) -> (Fig05, Telemetry) {
+pub fn run(sweep: Sweep) -> (Fig05, Telemetry) {
     crate::preflight::require_clean_reference();
     let mut clock = PhaseClock::new(sweep.threads());
     let model = PowerSystemModel::capybara();
@@ -186,7 +180,7 @@ mod tests {
 
     #[test]
     fn catnap_accepts_culpeo_rejects_plant_fails() {
-        let fig = run();
+        let fig = run(Sweep::serial()).0;
         assert!(
             fig.catnap_accepts,
             "CatNap must judge the schedule feasible"

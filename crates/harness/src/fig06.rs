@@ -38,16 +38,11 @@ pub struct Fig06Row {
     pub error_pct: f64,
 }
 
-/// Runs the Figure 6 comparison over the 12 synthetic loads.
+/// Runs the Figure 6 comparison over the 12 synthetic loads, with phase
+/// telemetry. One sweep cell per load: the ground-truth search plus all
+/// three predictions.
 #[must_use]
-pub fn run() -> Vec<Fig06Row> {
-    run_timed(Sweep::from_env()).0
-}
-
-/// [`run`] on an explicit executor, with phase telemetry. One sweep cell
-/// per load: the ground-truth search plus all three predictions.
-#[must_use]
-pub fn run_timed(sweep: Sweep) -> (Vec<Fig06Row>, Telemetry) {
+pub fn run(sweep: Sweep) -> (Vec<Fig06Row>, Telemetry) {
     crate::preflight::require_clean_reference();
     let mut clock = PhaseClock::new(sweep.threads());
     let model = PowerSystemModel::characterize(&reference_plant);
@@ -101,7 +96,7 @@ mod tests {
 
     #[test]
     fn energy_estimators_fail_most_pulse_loads() {
-        let rows = run();
+        let rows = run(Sweep::serial()).0;
         // Among the pulse+compute loads, the energy-only estimators must
         // produce substantially positive (unsafe) errors for the
         // high-current points — the paper's headline claim.
@@ -121,7 +116,7 @@ mod tests {
 
     #[test]
     fn direct_energy_is_never_conservative_for_pulses() {
-        let rows = run();
+        let rows = run(Sweep::serial()).0;
         for r in rows
             .iter()
             .filter(|r| r.system == "Energy-Direct" && r.load.contains("pulse"))
@@ -135,7 +130,7 @@ mod tests {
 
     #[test]
     fn covers_all_loads_and_systems() {
-        let rows = run();
+        let rows = run(Sweep::serial()).0;
         // 12 loads × 3 systems, modulo loads that are infeasible (none of
         // the Fig 6 set should be).
         assert_eq!(rows.len(), 36, "expected full grid");

@@ -36,24 +36,14 @@ pub const RATE_POINTS: [(&str, f64); 3] = [
     ("too-fast", 2.0 / 3.0),
 ];
 
-/// Runs Figure 13 at the paper's scale.
-#[must_use]
-pub fn run() -> Vec<Fig13Row> {
-    run_with(Seconds::new(300.0), 3)
-}
-
-/// Parameterised variant (shorter runs for tests).
-#[must_use]
-pub fn run_with(duration: Seconds, trials: u32) -> Vec<Fig13Row> {
-    run_timed(Sweep::from_env(), duration, trials).0
-}
-
-/// [`run_with`] on an explicit executor, with phase telemetry. Every
-/// seeded (app × rate × policy × trial) tuple is one sweep cell;
+/// Runs Figure 13 — PS and RR at every rate point × two policies ×
+/// `trials` trials of `duration` each (the paper runs Figure 12's three
+/// five-minute trials) — with phase telemetry. Every seeded
+/// (app × rate × policy × trial) tuple is one sweep cell;
 /// aggregation over the input-ordered results keeps rows thread-count
 /// independent.
 #[must_use]
-pub fn run_timed(sweep: Sweep, duration: Seconds, trials: u32) -> (Vec<Fig13Row>, Telemetry) {
+pub fn run(sweep: Sweep, duration: Seconds, trials: u32) -> (Vec<Fig13Row>, Telemetry) {
     crate::preflight::require_clean_reference();
     let mut clock = PhaseClock::new(sweep.threads());
     let candidates: [(&str, AppSpec, &str); 2] = [
@@ -136,7 +126,7 @@ mod tests {
     use super::*;
 
     fn quick() -> Vec<Fig13Row> {
-        run_with(Seconds::new(120.0), 1)
+        run(Sweep::serial(), Seconds::new(120.0), 1).0
     }
 
     fn rate_of(rows: &[Fig13Row], app: &str, rate: &str, policy: &str) -> f64 {

@@ -47,17 +47,12 @@ fn load() -> LoadProfile {
 }
 
 /// Profiles the LoRa task at each harvest level and cross-dispatches the
-/// strong-harvest estimate everywhere.
+/// strong-harvest estimate everywhere, with phase telemetry. The
+/// strong-sun estimate is shared by every row so it profiles first; each
+/// harvest level then profiles and cross-dispatches as one independent
+/// cell.
 #[must_use]
-pub fn run() -> Vec<HarvestRow> {
-    run_timed(Sweep::from_env()).0
-}
-
-/// [`run`] on an explicit executor, with phase telemetry. The strong-sun
-/// estimate is shared by every row so it profiles first; each harvest
-/// level then profiles and cross-dispatches as one independent cell.
-#[must_use]
-pub fn run_timed(sweep: Sweep) -> (Vec<HarvestRow>, Telemetry) {
+pub fn run(sweep: Sweep) -> (Vec<HarvestRow>, Telemetry) {
     crate::preflight::require_clean_reference();
     let mut clock = PhaseClock::new(sweep.threads());
     let model = PowerSystemModel::capybara();
@@ -120,7 +115,7 @@ mod tests {
 
     #[test]
     fn weaker_harvest_demands_higher_vsafe() {
-        let rows = run();
+        let rows = run(Sweep::serial()).0;
         for w in rows.windows(2) {
             assert!(
                 w[1].v_safe >= w[0].v_safe - 0.005,
@@ -138,7 +133,7 @@ mod tests {
 
     #[test]
     fn own_estimates_are_safe_everywhere() {
-        for r in run() {
+        for r in run(Sweep::serial()).0 {
             assert!(
                 r.own_completes,
                 "estimate profiled at {} W failed at its own level",
@@ -149,7 +144,7 @@ mod tests {
 
     #[test]
     fn stale_sunny_estimate_fails_in_the_dark() {
-        let rows = run();
+        let rows = run(Sweep::serial()).0;
         let dark = rows.last().unwrap();
         assert!(
             !dark.strong_estimate_completes,

@@ -11,47 +11,13 @@
 use culpeo_exec::{PhaseClock, Telemetry};
 use culpeo_race::battery::{self, BatteryConfig, BatteryReport};
 
-/// Runs the full race battery under the harness conventions.
+/// Runs the full race battery with one telemetry phase per model and
+/// per mutant.
 #[must_use]
-pub fn run(config: &BatteryConfig) -> BatteryReport {
-    run_timed(config).0
-}
-
-/// [`run`] with per-model / per-mutant phase telemetry.
-#[must_use]
-pub fn run_timed(config: &BatteryConfig) -> (BatteryReport, Telemetry) {
+pub fn run(config: &BatteryConfig) -> (BatteryReport, Telemetry) {
     // The explorer is inherently serial: one schedule at a time.
     let mut clock = PhaseClock::new(1);
-    let models: Vec<_> = battery::model_names()
-        .into_iter()
-        .map(|name| {
-            let report = battery::run_model(name, config);
-            clock.mark(name);
-            report
-        })
-        .collect();
-    let mutants: Vec<_> = battery::mutant_names()
-        .into_iter()
-        .map(|name| {
-            let report = battery::run_mutant(name, config);
-            clock.mark(name);
-            report
-        })
-        .collect();
-    let total_interleavings = models.iter().map(|m| m.interleavings).sum::<u64>()
-        + mutants.iter().map(|m| m.interleavings).sum::<u64>();
-    let all_proved = models.iter().all(|m| m.holds);
-    let all_refuted = mutants.iter().all(|m| m.caught);
-    let report = BatteryReport {
-        schema_version: 2,
-        seed: config.seed,
-        preemptions: config.preemptions,
-        total_interleavings,
-        models,
-        mutants,
-        all_proved,
-        all_refuted,
-    };
+    let report = battery::run(config, |name| clock.mark(name));
     (report, clock.finish())
 }
 
@@ -59,29 +25,20 @@ pub fn run_timed(config: &BatteryConfig) -> (BatteryReport, Telemetry) {
 mod tests {
     use super::*;
 
-    fn quick() -> BatteryConfig {
-        BatteryConfig {
+    #[test]
+    fn battery_passes_with_one_phase_per_model_and_mutant() {
+        let config = BatteryConfig {
             preemptions: 2,
             seed: 11,
             max_interleavings: 20_000,
-        }
-    }
-
-    #[test]
-    fn battery_passes_and_matches_direct_run() {
-        let (timed, telemetry) = run_timed(&quick());
-        assert!(timed.passed(), "{}", battery::render_table(&timed));
+        };
+        let (report, telemetry) = run(&config);
+        assert!(report.passed(), "{}", battery::render_table(&report));
         assert_eq!(
             telemetry.phases.len(),
-            battery::model_names().len() + battery::mutant_names().len(),
+            report.models.len() + report.mutants.len(),
             "one phase per model and mutant"
         );
-        // The harness assembly must agree with the crate's own runner.
-        let direct = battery::run(&quick());
-        assert_eq!(
-            serde_json::to_string(&timed).unwrap(),
-            serde_json::to_string(&direct).unwrap(),
-            "timing must not perturb the report"
-        );
+        assert_eq!(telemetry.phases[0].name, report.models[0].name);
     }
 }

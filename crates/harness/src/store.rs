@@ -100,7 +100,7 @@ pub struct StoreBatteryReport {
 /// Panics on any store or filesystem error — a failed measurement run
 /// has no artifact to write.
 #[must_use]
-pub fn run_timed(config: &StoreBatteryConfig) -> (StoreBatteryReport, Telemetry) {
+pub fn run(config: &StoreBatteryConfig) -> (StoreBatteryReport, Telemetry) {
     let mut clock = PhaseClock::new(1);
     let mut ingest = Vec::new();
 
@@ -287,7 +287,7 @@ mod tests {
             manual_records: 500,
             seed: 7,
         };
-        let (report, telemetry) = run_timed(&config);
+        let (report, telemetry) = run(&config);
         assert_eq!(report.ingest.len(), 3);
         for row in &report.ingest {
             assert!(row.records_per_s > 0.0, "{}: no throughput", row.mode);

@@ -197,17 +197,11 @@ fn run_case(case: &Case) -> CaseRow {
     }
 }
 
-/// Runs the battery under the harness conventions.
-#[must_use]
-pub fn run() -> VerifyBatteryReport {
-    run_timed(Sweep::from_env()).0
-}
-
-/// [`run`] on an explicit executor, with phase telemetry. The report is
-/// identical at any thread count: cases are independent and reassembled
+/// Runs the battery under the harness conventions, with phase telemetry.
+/// The report is identical at any thread count: cases are independent and reassembled
 /// in roster order.
 #[must_use]
-pub fn run_timed(sweep: Sweep) -> (VerifyBatteryReport, Telemetry) {
+pub fn run(sweep: Sweep) -> (VerifyBatteryReport, Telemetry) {
     crate::preflight::require_clean_reference();
     let mut clock = PhaseClock::new(sweep.threads());
     clock.mark("preflight");
@@ -228,14 +222,14 @@ mod tests {
 
     #[test]
     fn every_case_meets_its_pinned_verdict() {
-        let (report, telemetry) = run_timed(Sweep::with_threads(2));
+        let (report, telemetry) = run(Sweep::with_threads(2));
         assert!(report.all_passed(), "{}", report.render_table());
         assert!(telemetry.phase_seconds("battery").is_some());
     }
 
     #[test]
     fn refuted_cases_replayed_and_browned_out() {
-        let (report, _) = run_timed(Sweep::serial());
+        let (report, _) = run(Sweep::serial());
         let refuted: Vec<&CaseRow> = report
             .rows
             .iter()
@@ -247,8 +241,8 @@ mod tests {
 
     #[test]
     fn report_is_identical_at_any_thread_count() {
-        let serial = run_timed(Sweep::serial()).0;
-        let parallel = run_timed(Sweep::with_threads(4)).0;
+        let serial = run(Sweep::serial()).0;
+        let parallel = run(Sweep::with_threads(4)).0;
         assert_eq!(
             serde_json::to_string(&serial).unwrap(),
             serde_json::to_string(&parallel).unwrap()
@@ -257,7 +251,7 @@ mod tests {
 
     #[test]
     fn widening_fires_on_the_slow_drain_case() {
-        let (report, _) = run_timed(Sweep::serial());
+        let (report, _) = run(Sweep::serial());
         let slow = report
             .rows
             .iter()

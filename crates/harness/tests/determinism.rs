@@ -21,10 +21,10 @@ fn fig10_rows_are_identical_serial_vs_four_threads() {
     let loads = short_loads();
 
     clear_truth_cache();
-    let (serial, serial_tele) = fig10::run_on(Sweep::serial(), &loads);
+    let (serial, serial_tele) = fig10::run(Sweep::serial(), &loads);
 
     clear_truth_cache();
-    let (parallel, parallel_tele) = fig10::run_on(Sweep::with_threads(4), &loads);
+    let (parallel, parallel_tele) = fig10::run(Sweep::with_threads(4), &loads);
 
     assert_eq!(serial_tele.threads, 1);
     assert_eq!(parallel_tele.threads, 4);
@@ -44,9 +44,9 @@ fn fig10_rows_do_not_depend_on_a_warm_verdict_cache() {
     let loads = short_loads();
 
     clear_truth_cache();
-    let (cold, _) = fig10::run_on(Sweep::serial(), &loads);
+    let (cold, _) = fig10::run(Sweep::serial(), &loads);
     // Second run reuses the now-warm cache; verdicts must be bit-equal.
-    let (warm, _) = fig10::run_on(Sweep::serial(), &loads);
+    let (warm, _) = fig10::run(Sweep::serial(), &loads);
 
     assert_eq!(cold, warm);
 }

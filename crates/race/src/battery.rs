@@ -941,23 +941,22 @@ pub fn run_mutant(name: &str, config: &BatteryConfig) -> MutantReport {
     }
 }
 
-/// Every model name, roster order (for drivers that time each one).
+/// Runs the full battery: every invariant, every mutant, in roster
+/// order. `on_item` is called with each model's and mutant's name right
+/// after it finishes, so a driver can time the items without
+/// reassembling the report.
 #[must_use]
-pub fn model_names() -> Vec<&'static str> {
-    MODELS.iter().map(|m| m.name).collect()
-}
-
-/// Every mutant name, roster order.
-#[must_use]
-pub fn mutant_names() -> Vec<&'static str> {
-    MUTANTS.iter().map(|m| m.name).collect()
-}
-
-/// Runs the full battery: every invariant, every mutant.
-#[must_use]
-pub fn run(config: &BatteryConfig) -> BatteryReport {
-    let models: Vec<ModelReport> = MODELS.iter().map(|m| run_model(m.name, config)).collect();
-    let mutants: Vec<MutantReport> = MUTANTS.iter().map(|m| run_mutant(m.name, config)).collect();
+pub fn run(config: &BatteryConfig, mut on_item: impl FnMut(&str)) -> BatteryReport {
+    let mut models = Vec::new();
+    for m in MODELS {
+        models.push(run_model(m.name, config));
+        on_item(m.name);
+    }
+    let mut mutants = Vec::new();
+    for m in MUTANTS {
+        mutants.push(run_mutant(m.name, config));
+        on_item(m.name);
+    }
     let total_interleavings = models.iter().map(|m| m.interleavings).sum::<u64>()
         + mutants.iter().map(|m| m.interleavings).sum::<u64>();
     let all_proved = models.iter().all(|m| m.holds);

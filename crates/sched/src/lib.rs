@@ -33,9 +33,7 @@ mod policy;
 mod task;
 mod trial;
 
-pub use admission::{
-    admit_plan, AdmissionConfig, AdmissionDecision, AdmissionReport, ArenaPolicy, WcecAdmission,
-};
+pub use admission::{admit_plan, AdmissionConfig, AdmissionDecision, AdmissionReport};
 pub use event::{EventClass, EventSource};
 pub use policy::{derive_thresholds, ChargePolicy, PolicyThresholds};
 pub use task::{AppSpec, Task};

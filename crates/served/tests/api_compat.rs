@@ -7,34 +7,10 @@
 //! live daemon over TCP so what is pinned is the actual wire shape, not
 //! a serialisation detail.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::Read;
 
-use culpeo_served::{Server, ServerConfig};
-
-fn boot() -> Server {
-    Server::start(&ServerConfig {
-        port: 0,
-        threads: 2,
-        ..ServerConfig::default()
-    })
-    .unwrap()
-}
-
-/// One request, `Connection: close`; returns (status, raw JSON body).
-fn roundtrip(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).unwrap();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: compat\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    s.write_all(head.as_bytes()).unwrap();
-    s.write_all(body.as_bytes()).unwrap();
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).unwrap();
-    let status: u16 = raw.split_whitespace().nth(1).unwrap().parse().unwrap();
-    (status, raw.split_once("\r\n\r\n").unwrap().1.to_string())
-}
+mod common;
+use common::{boot, roundtrip_raw, send};
 
 /// The schema-1 `/v1/vsafe` request, as a byte-for-byte client literal.
 const SCHEMA1_VSAFE: &str = r##"{"schema_version": 1, "trace_csv": "# dt_us: 8\n0.0,0.010\n0.000008,0.025\n0.000016,0.010\n"}"##;
@@ -63,7 +39,7 @@ fn schema_1_requests_are_still_accepted() {
     let server = boot();
     let addr = server.addr();
 
-    let (status, body) = roundtrip(addr, "POST", "/v1/vsafe", SCHEMA1_VSAFE);
+    let (status, body) = roundtrip_raw(addr, "POST", "/v1/vsafe", SCHEMA1_VSAFE);
     assert_eq!(status, 200, "schema-1 client must not break: {body}");
     let data = assert_envelope(&body);
     let doc = serde_json::parse_value_str(&data).unwrap();
@@ -84,18 +60,18 @@ fn schema_2_requests_envelope_every_v1_response() {
     let server = boot();
     let addr = server.addr();
 
-    let (status, body) = roundtrip(addr, "POST", "/v1/vsafe", SCHEMA2_VSAFE);
+    let (status, body) = roundtrip_raw(addr, "POST", "/v1/vsafe", SCHEMA2_VSAFE);
     assert_eq!(status, 200, "{body}");
     let v2 = assert_envelope(&body);
     // Byte-identity across schema generations: the inner payload for a
     // schema-1 request is the same document.
-    let (_, body1) = roundtrip(addr, "POST", "/v1/vsafe", SCHEMA1_VSAFE);
+    let (_, body1) = roundtrip_raw(addr, "POST", "/v1/vsafe", SCHEMA1_VSAFE);
     assert_eq!(assert_envelope(&body1), v2);
 
     // Errors are enveloped too, and carry distinct request ids.
-    let (status, e1) = roundtrip(addr, "GET", "/v1/nope", "");
+    let (status, e1) = roundtrip_raw(addr, "GET", "/v1/nope", "");
     assert_eq!(status, 404);
-    let (_, e2) = roundtrip(addr, "GET", "/v1/nope", "");
+    let (_, e2) = roundtrip_raw(addr, "GET", "/v1/nope", "");
     let kind = |b: &str| {
         serde_json::parse_value_str(&assert_envelope(b))
             .unwrap()
@@ -113,9 +89,9 @@ fn schema_2_requests_envelope_every_v1_response() {
     assert_ne!(id(&e1), id(&e2), "request ids are unique");
 
     // Health and metrics, the GET surfaces, are enveloped as well.
-    let (_, h) = roundtrip(addr, "GET", "/v1/health", "");
+    let (_, h) = roundtrip_raw(addr, "GET", "/v1/health", "");
     assert!(assert_envelope(&h).contains("\"uptime_s\""));
-    let (_, m) = roundtrip(addr, "GET", "/v1/metrics", "");
+    let (_, m) = roundtrip_raw(addr, "GET", "/v1/metrics", "");
     assert!(assert_envelope(&m).contains("\"endpoints\""));
 
     server.shutdown_handle().request();
@@ -135,7 +111,7 @@ fn wcec_endpoint_is_enveloped_and_certifies_table3() {
         "{{\"schema_version\": 2, \"tasks\": [{}]}}",
         tasks.join(",")
     );
-    let (status, body) = roundtrip(addr, "POST", "/v1/wcec", &req);
+    let (status, body) = roundtrip_raw(addr, "POST", "/v1/wcec", &req);
     assert_eq!(status, 200, "{body}");
     let doc = serde_json::parse_value_str(&assert_envelope(&body)).unwrap();
     assert_eq!(
@@ -149,11 +125,11 @@ fn wcec_endpoint_is_enveloped_and_certifies_table3() {
     );
 
     // Wrong method on the route answers 405, not 404.
-    let (status, _) = roundtrip(addr, "GET", "/v1/wcec", "");
+    let (status, _) = roundtrip_raw(addr, "GET", "/v1/wcec", "");
     assert_eq!(status, 405);
 
     // The endpoint has its own metrics row.
-    let (_, m) = roundtrip(addr, "GET", "/v1/metrics", "");
+    let (_, m) = roundtrip_raw(addr, "GET", "/v1/metrics", "");
     assert!(assert_envelope(&m).contains("\"path\":\"/v1/wcec\""), "{m}");
 
     server.shutdown_handle().request();
@@ -171,7 +147,7 @@ fn cli_and_daemon_envelopes_share_a_generation() {
     let server = boot();
     let addr = server.addr();
 
-    let (status, body) = roundtrip(addr, "POST", "/v1/vsafe", SCHEMA2_VSAFE);
+    let (status, body) = roundtrip_raw(addr, "POST", "/v1/vsafe", SCHEMA2_VSAFE);
     assert_eq!(status, 200, "{body}");
     let daemon_data = assert_envelope(&body);
 
@@ -198,7 +174,7 @@ fn unsupported_schema_version_is_rejected() {
     let addr = server.addr();
 
     let bad = r##"{"schema_version": 99, "trace_csv": "# dt_us: 8\n0.0,0.010\n"}"##;
-    let (status, body) = roundtrip(addr, "POST", "/v1/vsafe", bad);
+    let (status, body) = roundtrip_raw(addr, "POST", "/v1/vsafe", bad);
     assert_eq!(status, 400, "{body}");
     let data = assert_envelope(&body);
     assert!(data.contains("unsupported_version"), "{data}");
@@ -214,7 +190,7 @@ fn fleet_surface_registers_reports_and_streams() {
 
     // Two twins, one round each: finishes in well under a second.
     let req = r##"{"schema_version": 2, "count": 2, "rounds": 1, "trace_csv": "# dt_us: 8\n0.0,0.010\n0.000008,0.025\n0.000016,0.010\n"}"##;
-    let (status, body) = roundtrip(addr, "POST", "/v1/fleet", req);
+    let (status, body) = roundtrip_raw(addr, "POST", "/v1/fleet", req);
     assert_eq!(status, 200, "{body}");
     let reg = serde_json::parse_value_str(&assert_envelope(&body)).unwrap();
     assert_eq!(
@@ -233,7 +209,7 @@ fn fleet_surface_registers_reports_and_streams() {
     // Poll the summary until the scheduler has driven both twins done.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     loop {
-        let (_, s) = roundtrip(addr, "GET", "/v1/fleet", "");
+        let (_, s) = roundtrip_raw(addr, "GET", "/v1/fleet", "");
         let doc = serde_json::parse_value_str(&assert_envelope(&s)).unwrap();
         if doc.get("scheduler").and_then(serde::Value::as_str) == Some("idle")
             && doc.get("rounds_done").and_then(serde::Value::as_f64) >= Some(2.0)
@@ -248,19 +224,17 @@ fn fleet_surface_registers_reports_and_streams() {
     }
 
     // Twin snapshots answer by id; out-of-range ids are 404s.
-    let (status, t) = roundtrip(addr, "GET", "/v1/fleet/1", "");
+    let (status, t) = roundtrip_raw(addr, "GET", "/v1/fleet/1", "");
     assert_eq!(status, 200, "{t}");
     let twin = serde_json::parse_value_str(&assert_envelope(&t)).unwrap();
     assert_eq!(twin.get("id").and_then(serde::Value::as_f64), Some(1.0));
     assert_eq!(twin.get("done"), Some(&serde::Value::Bool(true)));
     assert!(twin.get("drift_mv").is_some());
-    let (status, _) = roundtrip(addr, "GET", "/v1/fleet/99", "");
+    let (status, _) = roundtrip_raw(addr, "GET", "/v1/fleet/99", "");
     assert_eq!(status, 404);
 
     // The NDJSON stream: un-enveloped, one schema-2 event per line.
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(b"GET /v1/fleet/events HTTP/1.1\r\nConnection: close\r\n\r\n")
-        .unwrap();
+    let mut s = send(addr, "GET", "/v1/fleet/events", "");
     let mut raw = String::new();
     s.read_to_string(&mut raw).unwrap();
     assert!(raw.contains("application/x-ndjson"), "{raw}");

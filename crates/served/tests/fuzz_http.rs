@@ -15,6 +15,9 @@ use std::time::Duration;
 use culpeo_api::ApiError;
 use culpeo_served::http::{read_request, HttpError, MAX_HEAD_BYTES};
 use culpeo_served::{Server, ServerConfig};
+
+mod common;
+use common::{read_response, roundtrip, test_config, unwrap_envelope};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random bytes from a seed (the workspace-wide
@@ -91,25 +94,11 @@ fn oversized_content_length_claim_is_rejected_without_reading_it() {
 
 fn chaos_config() -> ServerConfig {
     ServerConfig {
-        port: 0,
-        threads: 2,
         // Short but not racy: the slow tests stall ~4× longer than this.
         read_timeout_ms: 250,
         write_timeout_ms: 250,
         deadline_ms: 2_000,
-        ..ServerConfig::default()
-    }
-}
-
-/// Strips the schema-2 response envelope, returning the inner `data`
-/// document (serialised last, so it runs to the closing brace).
-fn unwrap_envelope(body: &str) -> &str {
-    let marker = "\"data\":";
-    match body.find(marker) {
-        Some(i) if body.starts_with("{\"schema_version\"") && body.ends_with('}') => {
-            &body[i + marker.len()..body.len() - 1]
-        }
-        _ => body,
+        ..test_config()
     }
 }
 
@@ -117,18 +106,9 @@ fn unwrap_envelope(body: &str) -> &str {
 /// HTTP/1.1 error response carrying a parseable `ApiError` JSON body
 /// (inside the schema-2 envelope).
 fn assert_well_formed_error(s: &mut TcpStream, expect_status: u16) -> ApiError {
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).expect("daemon must answer");
-    assert!(raw.starts_with("HTTP/1.1 "), "raw: {raw:?}");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    assert_eq!(status, expect_status, "raw: {raw:?}");
-    let body = raw.split_once("\r\n\r\n").expect("header terminator").1;
-    serde_json::from_str::<ApiError>(unwrap_envelope(body)).expect("body must be ApiError JSON")
+    let (status, body) = read_response(s);
+    assert_eq!(status, expect_status, "body: {body:?}");
+    serde_json::from_str::<ApiError>(unwrap_envelope(&body)).expect("body must be ApiError JSON")
 }
 
 #[test]
@@ -221,13 +201,8 @@ fn slow_loris_writer_is_cut_off_with_408() {
     s.read_to_string(&mut raw).expect("daemon must answer");
     assert!(raw.starts_with("HTTP/1.1 408 "), "raw: {raw:?}");
     // And the stall is visible to operators.
-    let mut m = TcpStream::connect(addr).unwrap();
-    m.write_all(b"GET /v1/metrics HTTP/1.1\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    let mut mraw = String::new();
-    m.read_to_string(&mut mraw).unwrap();
-    let body = mraw.split_once("\r\n\r\n").unwrap().1;
-    let doc: culpeo_api::MetricsResponse = serde_json::from_str(unwrap_envelope(body)).unwrap();
+    let (_, body) = roundtrip(addr, "GET", "/v1/metrics", "");
+    let doc: culpeo_api::MetricsResponse = serde_json::from_str(&body).unwrap();
     assert!(doc.shed.read_timeouts >= 1, "shed: {:?}", doc.shed);
     server.shutdown_handle().request();
     let _ = server.join();

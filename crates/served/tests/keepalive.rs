@@ -13,13 +13,8 @@ use std::time::Duration;
 
 use culpeo_served::{Server, ServerConfig};
 
-fn test_config() -> ServerConfig {
-    ServerConfig {
-        port: 0,
-        threads: 2,
-        ..ServerConfig::default()
-    }
-}
+mod common;
+use common::{parse_responses, send, test_config, unwrap_envelope};
 
 /// A `/v1/vsafe` request over a tiny constant-then-pulse trace,
 /// parameterised so different requests have observably different
@@ -37,58 +32,12 @@ fn http_head(method: &str, path: &str, body_len: usize, close: bool) -> String {
     )
 }
 
-/// Splits a raw byte stream (read to EOF) into `(status, body)` pairs by
-/// walking head terminators and `Content-Length`.
-fn parse_responses(raw: &[u8]) -> Vec<(u16, String)> {
-    let mut out = Vec::new();
-    let mut rest = raw;
-    while !rest.is_empty() {
-        let head_end = rest
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .expect("head terminator")
-            + 4;
-        let head = String::from_utf8_lossy(&rest[..head_end]).to_string();
-        let status: u16 = head
-            .split_whitespace()
-            .nth(1)
-            .expect("status")
-            .parse()
-            .expect("numeric status");
-        let clen: usize = head
-            .lines()
-            .find_map(|l| {
-                let (k, v) = l.split_once(':')?;
-                k.eq_ignore_ascii_case("content-length")
-                    .then(|| v.trim().parse().ok())?
-            })
-            .expect("content-length header");
-        let body = String::from_utf8_lossy(&rest[head_end..head_end + clen]).to_string();
-        out.push((status, body));
-        rest = &rest[head_end + clen..];
-    }
-    out
-}
-
-/// Strips the schema-2 envelope, leaving the inner `data` document.
-fn unwrap_envelope(body: &str) -> String {
-    let marker = "\"data\":";
-    match body.find(marker) {
-        Some(i) if body.starts_with("{\"schema_version\"") && body.ends_with('}') => {
-            body[i + marker.len()..body.len() - 1].to_string()
-        }
-        _ => body.to_string(),
-    }
-}
-
 /// One request per fresh connection, `Connection: close`.
 fn serial_roundtrip(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(http_head("POST", path, body.len(), true).as_bytes())
-        .unwrap();
-    s.write_all(body.as_bytes()).unwrap();
     let mut raw = Vec::new();
-    s.read_to_end(&mut raw).unwrap();
+    send(addr, "POST", path, body)
+        .read_to_end(&mut raw)
+        .unwrap();
     let mut responses = parse_responses(&raw);
     assert_eq!(responses.len(), 1);
     responses.pop().unwrap()
@@ -129,9 +78,10 @@ fn one_connection_answers_many_sequential_requests() {
                     head.contains("Connection: keep-alive"),
                     "round {round} must keep the connection alive: {head}"
                 );
-                answers.push(unwrap_envelope(&String::from_utf8_lossy(
-                    &buf[i + 4..i + 4 + clen],
-                )));
+                answers.push(
+                    unwrap_envelope(&String::from_utf8_lossy(&buf[i + 4..i + 4 + clen]))
+                        .to_string(),
+                );
                 break;
             }
             let n = s.read(&mut chunk).unwrap();

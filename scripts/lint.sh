@@ -64,4 +64,7 @@ scripts/store.sh
 echo "== scripts/wcec.sh"
 scripts/wcec.sh
 
+echo "== scripts/repro.sh"
+scripts/repro.sh
+
 echo "lint: clean"
