@@ -13,7 +13,7 @@
 //! of §IV-A).
 
 use culpeo_loadgen::{CurrentTrace, LoadProfile};
-use culpeo_units::{Hertz, Joules, Ohms, Volts};
+use culpeo_units::{Hertz, Joules, Ohms, Seconds, Volts};
 
 use crate::{PowerSystemModel, VsafeEstimate};
 
@@ -26,10 +26,13 @@ use crate::{PowerSystemModel, VsafeEstimate};
 /// nothing can start anywhere software can run).
 #[must_use]
 pub fn compute_vsafe(trace: &CurrentTrace, model: &PowerSystemModel) -> VsafeEstimate {
-    let f = trace
-        .dominant_frequency()
+    // One median filter serves both the pulse-width detector and the walk.
+    let filtered = trace.median_filtered();
+    let f = filtered
+        .widest_pulse()
+        .map(Seconds::frequency)
         .unwrap_or_else(|| fallback_frequency(trace));
-    compute_vsafe_with_esr(trace, model, model.esr_at(f))
+    walk(&filtered, model, model.esr_at(f))
 }
 
 /// Algorithm 1 with an explicitly chosen ESR operating point — used by the
@@ -40,20 +43,23 @@ pub fn compute_vsafe_with_esr(
     model: &PowerSystemModel,
     esr: Ohms,
 ) -> VsafeEstimate {
-    let c = model.capacitance().get();
-    let v_off = model.v_off();
-    let v_out = model.v_out().get();
-    let dt = trace.dt().get();
-    let r = esr.get();
-    // Algorithm 1 line 8 evaluates the booster efficiency at V_off — the
-    // worst case — when computing the current out of the capacitor.
-    let eta_off = model.efficiency_at(v_off);
-
     // Denoise before walking: single-sample glitches are served by the
     // decoupling capacitors (§II-D), so honouring them with a full DC ESR
     // penalty would hijack V_safe; the same filter already guards the
     // pulse-width detector.
-    let filtered = trace.median_filtered();
+    walk(&trace.median_filtered(), model, esr)
+}
+
+/// Algorithm 1's backward walk over a median-filtered trace.
+fn walk(filtered: &CurrentTrace, model: &PowerSystemModel, esr: Ohms) -> VsafeEstimate {
+    let c = model.capacitance().get();
+    let v_off = model.v_off();
+    let v_out = model.v_out().get();
+    let dt = filtered.dt().get();
+    let r = esr.get();
+    // Algorithm 1 line 8 evaluates the booster efficiency at V_off — the
+    // worst case — when computing the current out of the capacitor.
+    let eta_off = model.efficiency_at(v_off);
 
     // V[i+1] accumulator: the safe voltage for the suffix after step i.
     // Base case: after the final step the voltage need only be at V_off.

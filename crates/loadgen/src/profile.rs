@@ -129,8 +129,11 @@ impl LoadProfile {
     pub fn sample(&self, rate: Hertz) -> CurrentTrace {
         let dt = rate.period();
         let n = (self.duration().get() / dt.get()).ceil().max(0.0) as usize;
+        // Sample times only increase, so a cursor answers each query in
+        // amortised O(1) with `current_at`'s exact semantics.
+        let mut cursor = self.cursor();
         let samples = (0..n)
-            .map(|k| self.current_at(Seconds::new(k as f64 * dt.get())))
+            .map(|k| cursor.current_at(Seconds::new(k as f64 * dt.get())))
             .collect();
         CurrentTrace::new(self.label.clone(), dt, samples)
     }

@@ -126,18 +126,24 @@ impl CurrentTrace {
     /// Returns `None` for an empty or all-zero trace.
     #[must_use]
     pub fn dominant_pulse_width(&self) -> Option<Seconds> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let filtered = median3(&self.samples);
-        let peak = filtered.iter().copied().fold(Amps::ZERO, Amps::max);
+        self.median_filtered().widest_pulse()
+    }
+
+    /// [`dominant_pulse_width`] of a trace that is already median-filtered:
+    /// the longest run of samples at or above a quarter of the peak, with
+    /// no further filtering. `None` for an empty or all-zero trace.
+    ///
+    /// [`dominant_pulse_width`]: CurrentTrace::dominant_pulse_width
+    #[must_use]
+    pub fn widest_pulse(&self) -> Option<Seconds> {
+        let peak = self.samples.iter().copied().fold(Amps::ZERO, Amps::max);
         if peak.get() <= 0.0 {
             return None;
         }
         let threshold = peak.get() * 0.25;
         let mut best = 0usize;
         let mut run = 0usize;
-        for &s in &filtered {
+        for &s in &self.samples {
             if s.get() >= threshold {
                 run += 1;
                 best = best.max(run);

@@ -14,6 +14,15 @@
 //! truncation error near 1e-12 V — two to three orders below the 1e-9 V
 //! equivalence budget against [`Kernel::FixedStep`].
 //!
+//! Single-branch chunks charged at constant power — every scheduler-trial
+//! plant — skip even the inner loop where they can: [`crate::stride`]
+//! solves the chunk's 2-D recurrence in closed form and jumps over its
+//! middle, loop-stepping only a short head and the tail that finds the
+//! bound exit. Strided chunks track the loop to 1e-12 V unloaded and
+//! 1e-11 V loaded, ledger sums to 1e-10 relative. Idle constant-power
+//! chunks on such plants keep the same `DELTA_V` window as loaded ones,
+//! which bounds the closed form's expansion of `p/v`.
+//!
 //! Crossings are never trusted to the analytic model: every chunk carries a
 //! guard band ([`GUARD_BAND_V`]) around each live threshold (`V_off` while
 //! the monitor is enabled, `V_high` while charging or recharging, the
@@ -42,10 +51,10 @@ const GUARD_BAND_V: f64 = 1e-3;
 /// Guard band below a [`EventStepper::run_idle_until`] level, in
 /// open-circuit terms. Unloaded chunks solve the node exactly (the
 /// expansion is linear), so their committed states track literal steps to
-/// rounding (~1e-13 V); the band only has to dwarf that, not the loaded
-/// Taylor error [`GUARD_BAND_V`] covers. A 1 mV band here would real-step
-/// every idle span's last few hundred steps — one idle span per dispatch
-/// in a scheduler trial.
+/// rounding (~1e-13 V looped, within 1e-12 V strided); the band only has
+/// to dwarf that, not the loaded Taylor error [`GUARD_BAND_V`] covers. A
+/// 1 mV band here would real-step every idle span's last few hundred
+/// steps — one idle span per dispatch in a scheduler trial.
 const LEVEL_BAND_V: f64 = 1e-6;
 
 /// Maximum node movement per Taylor anchor. The second-order expansion's
@@ -154,22 +163,39 @@ pub(crate) fn breaks(brk: BreakOn, i: Amps, out: &StepOutput) -> bool {
     }
 }
 
-#[cfg(test)]
-pub(crate) static CHUNK_STEPS: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(0);
-#[cfg(test)]
-pub(crate) static REAL_STEPS: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(0);
-#[cfg(test)]
-pub(crate) static CHUNKS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+/// Work counters of one [`EventStepper`]: how its steps were advanced.
+/// Bumped once per chunk or real-step block, never per step.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelCounters {
+    /// Committed chunks (looped or strided).
+    pub chunks: u64,
+    /// Grid steps committed by chunks.
+    pub chunk_steps: u64,
+    /// Chunks that took a closed-form stride.
+    pub strided_chunks: u64,
+    /// Literal [`PowerSystem::step`] calls (guard bands, per-step pieces,
+    /// incapable plants).
+    pub real_steps: u64,
+}
+
+impl KernelCounters {
+    /// Adds `other`'s counts to these.
+    pub fn add(&mut self, other: &KernelCounters) {
+        self.chunks += other.chunks;
+        self.chunk_steps += other.chunk_steps;
+        self.strided_chunks += other.strided_chunks;
+        self.real_steps += other.real_steps;
+    }
+}
 
 /// The event kernel's stepping facade over a [`PowerSystem`].
 ///
 /// Drives the same plant state as [`PowerSystem::step`] — afterwards the
 /// system's buffer voltages, monitor state, clock, and ledger are where a
-/// fixed-step caller would have left them (to ~1e-12 V) — but advances
-/// quiet spans with the anchored-Taylor chunk loop instead of one Newton
-/// solve per step. Device models port their hand-rolled `step()` loops to
+/// fixed-step caller would have left them (to ~1e-12 V idle, ~1e-11 V
+/// under load) — but advances quiet spans with the anchored-Taylor chunk
+/// loop, or its closed-form stride, instead of one Newton solve per step.
+/// Device models port their hand-rolled `step()` loops to
 /// [`EventStepper::run_const`]; `run_profile` goes through the internal
 /// piece planner.
 pub struct EventStepper<'a> {
@@ -186,14 +212,15 @@ pub struct EventStepper<'a> {
     v_off: f64,
     min_input: f64,
     capable: bool,
+    counters: KernelCounters,
 }
 
 impl<'a> EventStepper<'a> {
     /// Wraps a system for event-driven stepping at step size `dt`.
     ///
     /// Always succeeds; on plants the chunk model does not cover
-    /// (constant-power harvesters, disconnected or >4 branches) the
-    /// stepper still works but [`EventStepper::capable`] is false and
+    /// (fast-flipping windowed harvesters, disconnected or >4 branches)
+    /// the stepper still works but [`EventStepper::capable`] is false and
     /// every span real-steps.
     #[must_use]
     pub fn new(sys: &'a mut PowerSystem, dt: Seconds) -> Self {
@@ -248,7 +275,14 @@ impl<'a> EventStepper<'a> {
             v_off,
             min_input,
             capable,
+            counters: KernelCounters::default(),
         }
+    }
+
+    /// How this stepper has advanced its plant so far.
+    #[must_use]
+    pub fn counters(&self) -> KernelCounters {
+        self.counters
     }
 
     /// True when the plant admits chunked advancement; false means every
@@ -280,9 +314,9 @@ impl<'a> EventStepper<'a> {
     /// Runs `steps` steps of a constant requested load, breaking per the
     /// policy, optionally observing every step through `sink`.
     ///
-    /// Semantically equivalent (to ~1e-12 V) to calling
-    /// [`PowerSystem::step`] `steps` times with the same break checks after
-    /// each call.
+    /// Semantically equivalent (to ~1e-12 V unloaded, ~1e-11 V loaded) to
+    /// calling [`PowerSystem::step`] `steps` times with the same break
+    /// checks after each call.
     pub fn run_const(
         &mut self,
         i_load: Amps,
@@ -325,10 +359,10 @@ impl<'a> EventStepper<'a> {
     /// whose monitor state differs from the state at span start.
     ///
     /// Semantically equivalent (to ~1e-12 V) to the literal loop
-    /// `sys.step(0, dt)` + break check. Chunks stop a 1 µV band short of
-    /// `level` in open-circuit terms and the crossing itself is
-    /// real-stepped, so the break lands on the grid step the literal loop
-    /// would pick. The output in [`SpanEnd::Broke`] is the breaking
+    /// `sys.step(0, dt)` + break check, strided chunks included. Chunks
+    /// stop a 1 µV band short of `level` in open-circuit terms and the
+    /// crossing itself is real-stepped, so the break lands on the grid step
+    /// the literal loop would pick. The output in [`SpanEnd::Broke`] is the breaking
     /// step's (synthesised from the chunk state when the crossing falls on
     /// a chunk's last step).
     pub fn run_idle_until(&mut self, steps: usize, level: Option<Volts>) -> SpanEnd {
@@ -367,15 +401,15 @@ impl<'a> EventStepper<'a> {
                 }
                 continue;
             }
-            for _ in 0..remaining.min(REAL_BLOCK) {
-                #[cfg(test)]
-                REAL_STEPS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            for i in 0..remaining.min(REAL_BLOCK) {
                 let out = self.sys.step(Amps::ZERO, Seconds::new(self.dt));
                 k += 1;
                 if out.monitor != start || reached(self.sys) {
+                    self.counters.real_steps += i as u64 + 1;
                     return SpanEnd::Broke { steps: k, out };
                 }
             }
+            self.counters.real_steps += remaining.min(REAL_BLOCK) as u64;
         }
         SpanEnd::Completed
     }
@@ -423,6 +457,7 @@ impl<'a> EventStepper<'a> {
                     k_base += steps;
                 }
                 Piece::Each { k0, steps } => {
+                    self.counters.real_steps += steps as u64;
                     for k in k0..k0 + steps {
                         let i_task = cursor.current_at(Seconds::new(k as f64 * self.dt));
                         let i = Amps::new(i_task.get() + offset.get());
@@ -502,9 +537,7 @@ impl<'a> EventStepper<'a> {
                 // Guard-band (or incapable-plant) block: literal steps with
                 // the exact fixed-step break semantics.
                 let block = remaining.min(REAL_BLOCK);
-                for _ in 0..block {
-                    #[cfg(test)]
-                    REAL_STEPS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                for i in 0..block {
                     let out = self.sys.step(i_load, Seconds::new(self.dt));
                     acc.observe(&out);
                     if let Some(f) = sink.as_mut() {
@@ -512,9 +545,11 @@ impl<'a> EventStepper<'a> {
                     }
                     k += 1;
                     if breaks(brk, i_load, &out) {
+                        self.counters.real_steps += i as u64 + 1;
                         return Some((k, out));
                     }
                 }
+                self.counters.real_steps += block as u64;
             } else {
                 k += done;
             }
@@ -619,6 +654,8 @@ impl<'a> EventStepper<'a> {
                 max_steps,
                 &mut observe,
             )
+        } else if self.n == 1 && prep.is_cp {
+            crate::stride::chunk_cp1(&prep.params, &mut y, max_steps)
         } else {
             dispatch_chunk_loop(
                 self.n,
@@ -726,6 +763,12 @@ impl<'a> EventStepper<'a> {
         if ic != 0.0 || !enabled {
             hi = hi.min(self.v_high - GUARD_BAND_V);
         }
+        if is_cp && n == 1 && !delivering {
+            // The stride's expansion of p/v holds within the same window
+            // as the loaded Taylor's.
+            lo = lo.max(v0 - DELTA_V);
+            hi = hi.min(v0 + DELTA_V);
+        }
 
         let t_base = self.sys.time().get();
         let inv_eta0 = 1.0 / eta0;
@@ -777,15 +820,14 @@ impl<'a> EventStepper<'a> {
             v_min,
             k_min,
             done,
+            ..
         } = *sums;
         if done == 0 {
             return;
         }
-        #[cfg(test)]
-        {
-            CHUNK_STEPS.fetch_add(done, std::sync::atomic::Ordering::Relaxed);
-            CHUNKS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
+        self.counters.chunks += 1;
+        self.counters.chunk_steps += done as u64;
+        self.counters.strided_chunks += u64::from(sums.strided);
         let dt = self.dt;
         acc.seen = true;
         if v_min < acc.v_min {
@@ -873,6 +915,8 @@ pub(crate) struct ChunkSums {
     pub(crate) v_min: f64,
     pub(crate) k_min: usize,
     pub(crate) done: usize,
+    /// The chunk took a closed-form stride.
+    pub(crate) strided: bool,
 }
 
 impl ChunkSums {
@@ -887,6 +931,7 @@ impl ChunkSums {
             v_min: f64::MAX,
             k_min: 0,
             done: 0,
+            strided: false,
         }
     }
 }
@@ -922,7 +967,7 @@ fn dispatch_chunk_loop<F: FnMut(usize, f64)>(
 // deliberate: N is the const-generic branch count, and the flagged
 // "copy" loop also folds the ledger sums.
 #[allow(clippy::needless_range_loop, clippy::manual_memcpy)]
-fn chunk_loop<const N: usize, const CP: bool, F: FnMut(usize, f64)>(
+pub(crate) fn chunk_loop<const N: usize, const CP: bool, F: FnMut(usize, f64)>(
     p: &ChunkParams,
     y: &mut [f64; MAX_BRANCHES],
     max_steps: usize,
@@ -1411,13 +1456,17 @@ mod tests {
             }
             println!("{kernel:?} no-settle: {:?}", t0.elapsed() / 100);
         }
-        use std::sync::atomic::Ordering::Relaxed;
-        println!(
-            "chunk_steps {} real_steps {} chunks {}",
-            CHUNK_STEPS.load(Relaxed),
-            REAL_STEPS.load(Relaxed),
-            CHUNKS.load(Relaxed)
+        let mut s = sys.clone();
+        let mut stepper = EventStepper::new(&mut s, cfg.dt);
+        let steps = profile.duration().steps(cfg.dt);
+        let _ = stepper.run_profile_steps(
+            &profile,
+            steps,
+            Amps::ZERO,
+            BreakOn::MonitorRecharging,
+            None,
         );
+        println!("one run: {:?}", stepper.counters());
     }
 
     #[test]

@@ -23,8 +23,8 @@ use culpeo_units::{Amps, Seconds, Volts};
 
 use crate::engine::{Kernel, RunConfig};
 use crate::event::{
-    breaks, plan_pieces, Acc, BreakOn, ChunkPrep, ChunkSums, EventStepper, Piece, MAX_BRANCHES,
-    REAL_BLOCK,
+    breaks, plan_pieces, Acc, BreakOn, ChunkPrep, ChunkSums, EventStepper, KernelCounters, Piece,
+    MAX_BRANCHES, REAL_BLOCK,
 };
 use crate::{EnergyLedger, PowerSystem, RunOutcome, StepOutput, VoltageSample, VoltageTrace};
 
@@ -50,12 +50,23 @@ impl<const W: usize> Lanes<W> {
         profiles: &[&LoadProfile],
         cfgs: &[RunConfig],
     ) -> Vec<RunOutcome> {
+        Self::run_counted(systems, profiles, cfgs).0
+    }
+
+    /// [`Lanes::run`] plus the event kernel's work counters summed over
+    /// the batched lanes (scalar fallbacks and settles excluded).
+    pub(crate) fn run_counted(
+        systems: &mut [PowerSystem],
+        profiles: &[&LoadProfile],
+        cfgs: &[RunConfig],
+    ) -> (Vec<RunOutcome>, KernelCounters) {
         assert_eq!(systems.len(), profiles.len(), "one profile per lane");
         assert_eq!(systems.len(), cfgs.len(), "one config per lane");
         let mut outcomes: Vec<Option<RunOutcome>> = Vec::with_capacity(systems.len());
         outcomes.resize_with(systems.len(), || None);
 
         let mut lanes: Vec<Lane<'_, '_>> = Vec::new();
+        let mut counters = KernelCounters::default();
         for (i, sys) in systems.iter_mut().enumerate() {
             let cfg = cfgs[i];
             let eligible = cfg.kernel == Kernel::Event
@@ -120,6 +131,7 @@ impl<const W: usize> Lanes<W> {
                         let lane = &mut lanes[j];
                         let mut stepper = EventStepper::new(lane.sys, lane.cfg.dt);
                         stepper.commit_chunk(&job.prep, &job.y, &job.sums, &mut lane.acc);
+                        counters.add(&stepper.counters());
                         lane.off += job.sums.done;
                         if job.sums.done == 0 {
                             // Exactly the scalar kernel's rule: a chunk
@@ -133,13 +145,15 @@ impl<const W: usize> Lanes<W> {
         }
 
         for lane in lanes {
+            counters.real_steps += lane.real_steps;
             let (i, outcome) = lane.finish();
             outcomes[i] = Some(outcome);
         }
-        outcomes
+        let outcomes = outcomes
             .into_iter()
             .map(|o| o.expect("every lane produced an outcome"))
-            .collect()
+            .collect();
+        (outcomes, counters)
     }
 }
 
@@ -173,6 +187,8 @@ struct Lane<'a, 'p> {
     acc: Acc,
     broke: Option<StepOutput>,
     force_real: bool,
+    /// Literal steps this lane took outside chunks.
+    real_steps: u64,
     pending: Option<PendingChunk>,
     done: bool,
     ledger_before: EnergyLedger,
@@ -200,6 +216,7 @@ impl<'a, 'p> Lane<'a, 'p> {
             acc: Acc::new(),
             broke: None,
             force_real: false,
+            real_steps: 0,
             pending: None,
             done: false,
             ledger_before,
@@ -224,17 +241,20 @@ impl<'a, 'p> Lane<'a, 'p> {
                     // identically to the plan-long cursor the scalar
                     // kernel carries.
                     let mut cursor = self.profile.cursor();
+                    let start = self.off;
                     for k in (k0 + self.off)..(k0 + steps) {
                         let i = cursor.current_at(Seconds::new(k as f64 * dt.get()));
                         let out = self.sys.step(i, dt);
                         self.acc.observe(&out);
                         self.off += 1;
                         if breaks(BreakOn::MonitorRecharging, i, &out) {
+                            self.real_steps += (self.off - start) as u64;
                             self.broke = Some(out);
                             self.done = true;
                             return;
                         }
                     }
+                    self.real_steps += (self.off - start) as u64;
                     self.piece += 1;
                     self.off = 0;
                 }
@@ -264,16 +284,18 @@ impl<'a, 'p> Lane<'a, 'p> {
                     // Guard-band block: literal steps with the exact
                     // fixed-step break semantics.
                     let block = remaining.min(REAL_BLOCK);
-                    for _ in 0..block {
+                    for j in 0..block {
                         let out = self.sys.step(i, dt);
                         self.acc.observe(&out);
                         self.off += 1;
                         if breaks(BreakOn::MonitorRecharging, i, &out) {
+                            self.real_steps += j as u64 + 1;
                             self.broke = Some(out);
                             self.done = true;
                             return;
                         }
                     }
+                    self.real_steps += block as u64;
                 }
             }
         }
@@ -322,15 +344,20 @@ impl<'a, 'p> Lane<'a, 'p> {
 }
 
 /// Monomorphises the pack loop on branch count and charge mode, mirroring
-/// the scalar kernel's dispatch.
+/// the scalar kernel's dispatch: single-branch constant-power chunks take
+/// the scalar stride, one lane at a time.
 fn run_pack<const W: usize>(n: usize, is_cp: bool, jobs: &mut [PackJob]) {
     debug_assert!(jobs.len() <= W.max(1));
     match (n, is_cp) {
+        (1, true) => {
+            for job in jobs {
+                job.sums = crate::stride::chunk_cp1(&job.prep.params, &mut job.y, job.max_steps);
+            }
+        }
         (1, false) => lanes_pack::<1, false, W>(jobs),
         (2, false) => lanes_pack::<2, false, W>(jobs),
         (3, false) => lanes_pack::<3, false, W>(jobs),
         (_, false) => lanes_pack::<4, false, W>(jobs),
-        (1, true) => lanes_pack::<1, true, W>(jobs),
         (2, true) => lanes_pack::<2, true, W>(jobs),
         (3, true) => lanes_pack::<3, true, W>(jobs),
         (_, true) => lanes_pack::<4, true, W>(jobs),
@@ -626,6 +653,47 @@ mod tests {
     }
 
     #[test]
+    fn single_branch_constant_power_lanes_stride_bitwise() {
+        // The scheduler-trial plants: one branch, constant-power harvest.
+        // Their chunks take the closed-form stride inside the batch too.
+        let task = LoadProfile::constant("task", ma(8.0), Seconds::from_milli(200.0));
+        let burst = LoadProfile::builder("burst")
+            .hold(ma(30.0), Seconds::from_milli(20.0))
+            .hold(ma(2.0), Seconds::from_milli(150.0))
+            .build();
+        let plants = [
+            (15.0, 10.0, 5.0),
+            (45.0, 3.3, 3.0),
+            (45.0, 3.3, 4.0),
+            (30.0, 6.0, 4.5),
+        ];
+        let mut systems = Vec::new();
+        let mut profiles: Vec<&LoadProfile> = Vec::new();
+        for (i, &(c, r, p)) in plants.iter().enumerate() {
+            let mut sys = PowerSystem::builder()
+                .bank(
+                    culpeo_units::Farads::from_milli(c),
+                    culpeo_units::Ohms::new(r),
+                )
+                .harvester(Harvester::ConstantPower(culpeo_units::Watts::from_milli(p)))
+                .initial_voltage(Volts::new(2.1 + 0.1 * i as f64))
+                .build();
+            sys.force_output_enabled();
+            systems.push(sys);
+            profiles.push(if i % 2 == 0 { &task } else { &burst });
+        }
+        let cfg = RunConfig {
+            dt: Seconds::from_micro(100.0),
+            settle_timeout: Seconds::from_milli(500.0),
+            ..probe_cfg()
+        };
+        let cfgs = vec![cfg; systems.len()];
+        assert_batch_matches_serial(&systems, &profiles, &cfgs);
+        let (_, counters) = Lanes::<8>::run_counted(&mut systems.clone(), &profiles, &cfgs);
+        assert!(counters.strided_chunks > 0, "no lane strided: {counters:?}");
+    }
+
+    #[test]
     fn ineligible_lanes_fall_back_inside_the_batch() {
         let load = LoadProfile::constant("task", ma(10.0), Seconds::from_milli(5.0));
         let systems = vec![plant_at(2.3), plant_at(2.3), plant_at(2.3)];
@@ -684,18 +752,9 @@ mod tests {
         }
         println!("lanes8 8x100ms: {:?}", t0.elapsed() / 50);
 
-        use std::sync::atomic::Ordering::Relaxed;
-        crate::event::CHUNK_STEPS.store(0, Relaxed);
-        crate::event::REAL_STEPS.store(0, Relaxed);
-        crate::event::CHUNKS.store(0, Relaxed);
         let mut s = systems.clone();
-        std::hint::black_box(Lanes::<8>::run(&mut s, &profiles, &cfgs));
-        println!(
-            "one batch: chunk_steps {} real_steps {} chunks {}",
-            crate::event::CHUNK_STEPS.load(Relaxed),
-            crate::event::REAL_STEPS.load(Relaxed),
-            crate::event::CHUNKS.load(Relaxed),
-        );
+        let (_, counters) = Lanes::<8>::run_counted(&mut s, &profiles, &cfgs);
+        println!("one batch: {counters:?}");
     }
 
     #[test]

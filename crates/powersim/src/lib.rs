@@ -53,6 +53,7 @@ mod harvester;
 mod lanes;
 mod monitor;
 mod network;
+mod stride;
 mod vtrace;
 
 pub use audit::{Auditor, Violation};
@@ -61,7 +62,7 @@ pub use capacitor::{AgingState, CapacitorBranch};
 pub use energy::EnergyLedger;
 pub use engine::{Kernel, PowerSystem, PowerSystemBuilder, RunConfig, RunOutcome, StepOutput};
 pub use esr_curve::{measure_esr_curve, standard_probe_frequencies, EsrCurve};
-pub use event::{BreakOn, EventStepper, SpanEnd};
+pub use event::{BreakOn, EventStepper, KernelCounters, SpanEnd};
 pub use harvester::Harvester;
 pub use lanes::Lanes;
 pub use monitor::{MonitorState, VoltageMonitor};

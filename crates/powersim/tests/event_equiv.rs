@@ -304,6 +304,29 @@ fn idle_level_inside_guard_band_at_span_start() {
 }
 
 #[test]
+fn idle_constant_power_recharge_to_v_high_agrees() {
+    // The Figure 12 periodic-sensing plant (15 mF, 10 Ω, 5 mW) recharging
+    // from just above V_off to V_high: thousands of steps of single-branch
+    // constant-power chunks, which the kernel advances in closed form, and
+    // the break must still land on the literal loop's step.
+    let h = Harvester::ConstantPower(Watts::from_milli(5.0));
+    let probe = plant(15.0, 10.0, 2.0, h);
+    let (v_off, v_high) = (probe.monitor().v_off(), probe.monitor().v_high());
+    let sys = plant(15.0, 10.0, v_off.get() + 0.005, h);
+    let at = assert_idle_agrees(&sys, 1_000_000, Some(v_high));
+    assert!(at.is_some_and(|k| k > 10_000), "V_high not reached: {at:?}");
+
+    let mut strided = sys.clone();
+    let mut stepper = EventStepper::new(&mut strided, Seconds::from_micro(100.0));
+    let _ = stepper.run_idle_until(1_000_000, Some(v_high));
+    let counters = stepper.counters();
+    assert!(
+        counters.strided_chunks * 2 > counters.chunks,
+        "most recharge chunks should stride: {counters:?}"
+    );
+}
+
+#[test]
 fn idle_reenables_at_v_high_after_brownout() {
     // Brown the plant out, then idle with no reachable level: the span
     // must end on the step the monitor re-enables at V_high.
