@@ -4,8 +4,8 @@
 //! (characterise / ground truth / predictions / …). A [`PhaseClock`]
 //! stamps the wall-clock spent in each and folds them into a
 //! [`Telemetry`] record that the binaries serialise next to their rows,
-//! so `results/perf_summary.json` — and any future PR — has a trajectory
-//! to compare against.
+//! so a later run of the same driver has a wall-clock trajectory to
+//! compare against.
 
 use std::time::Instant;
 

@@ -195,7 +195,7 @@ mod tests {
                 let name = entry.ok()?.file_name().into_string().ok()?;
                 name.strip_suffix(".json").map(str::to_string)
             })
-            .filter(|stem| stem != "loadtest" && stem != "perf_summary")
+            .filter(|stem| stem != "loadtest")
             .collect();
         let registered: BTreeSet<String> = names.iter().map(|n| (*n).to_string()).collect();
         assert_eq!(

@@ -17,7 +17,7 @@ use culpeo_served::http::{read_request, HttpError, MAX_HEAD_BYTES};
 use culpeo_served::{Server, ServerConfig};
 
 mod common;
-use common::{read_response, roundtrip, test_config, unwrap_envelope};
+use common::{read_response, roundtrip, send, test_config, unwrap_envelope};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random bytes from a seed (the workspace-wide
@@ -204,6 +204,26 @@ fn slow_loris_writer_is_cut_off_with_408() {
     let (_, body) = roundtrip(addr, "GET", "/v1/metrics", "");
     let doc: culpeo_api::MetricsResponse = serde_json::from_str(&body).unwrap();
     assert!(doc.shed.read_timeouts >= 1, "shed: {:?}", doc.shed);
+    server.shutdown_handle().request();
+    let _ = server.join();
+}
+
+#[test]
+fn multi_mebibyte_string_body_is_answered_promptly() {
+    // ~3.5 MiB of JSON, nearly all of it one string field, just under the
+    // daemon's 4 MiB buffer cap: decoding must be linear in the body, or
+    // one such request wedges a worker for minutes.
+    let server = common::boot();
+    let addr = server.addr();
+    let body = format!("{{\"trace_csv\":\"{}\"}}", "x".repeat(7 << 19));
+    let mut s = send(addr, "POST", "/v1/vsafe", &body);
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let (status, body) = read_response(&mut s);
+    if status != 200 {
+        assert!((400..500).contains(&status), "status {status}: {body:?}");
+        serde_json::from_str::<ApiError>(unwrap_envelope(&body))
+            .expect("a 4xx body must be ApiError JSON");
+    }
     server.shutdown_handle().request();
     let _ = server.join();
 }

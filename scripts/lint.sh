@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Static quality gate: clippy (deny warnings) + rustfmt check over the
-# whole workspace, including benches, tests, and the vendored stubs.
+# whole workspace, including tests, examples, and the vendored stubs.
 # CI and pre-commit both call this; it must stay green.
 set -euo pipefail
 
@@ -16,9 +16,6 @@ cargo fmt --all -- --check
 # and malformed doc comments fail the gate, not just the nightly build.
 echo "== cargo doc --workspace --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
-
-echo "== cargo bench --workspace --no-run"
-cargo bench --workspace --no-run
 
 # The static verifier must prove the seed Capybara schedule: a regression
 # here means either the interpreter lost precision or the reference plan
