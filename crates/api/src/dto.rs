@@ -45,7 +45,7 @@ pub fn check_schema_version(claimed: Option<u32>) -> Result<(), ApiError> {
 /// *local* surfaces (CLI `--format json`, harness result files) stamp:
 /// `{"schema_version":N,"data":…}`.
 ///
-/// This is the daemon envelope minus the members that only make sense
+/// This is [`server_envelope`] minus the members that only make sense
 /// with a server in the loop — no `request_id` (nothing to correlate)
 /// and no `server_timing`. Pinned against the daemon generation in
 /// `crates/served/tests/api_compat.rs`.
@@ -55,6 +55,36 @@ pub fn cli_envelope(data: &str) -> String {
         "{{\"schema_version\":{},\"data\":{data}}}",
         crate::SCHEMA_VERSION
     )
+}
+
+/// Wraps an already-rendered JSON payload in the daemon's schema-2
+/// envelope: `{"schema_version":N,"request_id":…,"server_timing":…,
+/// "data":…}`. `server_timing` is a rendered [`ServerTiming`] object.
+///
+/// Hand-assembled (the vendored serde stub cannot derive generics). Both
+/// envelopes serialise `data` last, so [`unwrap_envelope`] strips either
+/// with one prefix match.
+#[must_use]
+pub fn server_envelope(request_id: &str, server_timing: &str, data: &str) -> String {
+    format!(
+        "{{\"schema_version\":{},\"request_id\":\"{request_id}\",\
+         \"server_timing\":{server_timing},\"data\":{data}}}",
+        crate::SCHEMA_VERSION
+    )
+}
+
+/// Strips a schema-2 envelope ([`server_envelope`] or [`cli_envelope`]),
+/// returning the inner `data` document, which runs from its key to the
+/// closing brace. Anything else passes through unchanged.
+#[must_use]
+pub fn unwrap_envelope(body: &str) -> &str {
+    let marker = "\"data\":";
+    match body.find(marker) {
+        Some(i) if body.starts_with("{\"schema_version\"") && body.ends_with('}') => {
+            &body[i + marker.len()..body.len() - 1]
+        }
+        _ => body,
+    }
 }
 
 /// The `server_timing` member of every schema-2 response envelope: how
@@ -1148,6 +1178,7 @@ mod tests {
                 crate::SCHEMA_VERSION
             )
         );
+        assert_eq!(unwrap_envelope(&enveloped), "{\"verdict\":\"proved\"}");
         let doc = serde_json::parse_value_str(&enveloped).unwrap();
         assert!(doc.get("request_id").is_none());
         assert_eq!(
@@ -1156,5 +1187,31 @@ mod tests {
                 .and_then(Value::as_str),
             Some("proved")
         );
+    }
+
+    #[test]
+    fn server_envelope_puts_data_last_and_unwraps() {
+        let timing = serde_json::to_string(&ServerTiming {
+            queue_us: 3,
+            compute_us: 40,
+            fsync_us: Some(7),
+        })
+        .unwrap();
+        let enveloped = server_envelope("r-00000012", &timing, "{\"status\":\"ok\"}");
+        assert_eq!(
+            enveloped,
+            format!(
+                "{{\"schema_version\":{},\"request_id\":\"r-00000012\",\
+                 \"server_timing\":{{\"queue_us\":3,\"compute_us\":40,\"fsync_us\":7}},\
+                 \"data\":{{\"status\":\"ok\"}}}}",
+                crate::SCHEMA_VERSION
+            )
+        );
+        assert_eq!(unwrap_envelope(&enveloped), "{\"status\":\"ok\"}");
+        assert_eq!(
+            unwrap_envelope("{\"status\":\"ok\"}"),
+            "{\"status\":\"ok\"}"
+        );
+        assert_eq!(unwrap_envelope("not json"), "not json");
     }
 }

@@ -27,14 +27,14 @@ pub mod plan;
 pub mod spec;
 
 pub use dto::{
-    check_schema_version, cli_envelope, BatchItem, BatchOutcome, BatchRequest, BatchResponse,
-    CacheMetrics, CertificateDto, CounterexampleDto, EndpointMetrics, FleetEvent,
-    FleetRegisterRequest, FleetRegisterResponse, FleetSummaryResponse, FleetTwinResponse,
-    HealthResponse, LintRequest, LintResponse, LivezResponse, MetricsResponse, NamedTrace, NodeDto,
-    ObservationDto, ObserveAckDto, ObserveDeviceResponse, ObserveRequest, ObserveResponse, OpDto,
-    ReadyzResponse, RollingVerdictDto, ServerTiming, ShedMetrics, TaskGraphDto, UnknownDto,
-    VerifyFindingDto, VerifyRequest, VerifyResponse, VsafeRequest, VsafeResponse, WcecRequest,
-    WcecResponse, WcecTaskRow,
+    check_schema_version, cli_envelope, server_envelope, unwrap_envelope, BatchItem, BatchOutcome,
+    BatchRequest, BatchResponse, CacheMetrics, CertificateDto, CounterexampleDto, EndpointMetrics,
+    FleetEvent, FleetRegisterRequest, FleetRegisterResponse, FleetSummaryResponse,
+    FleetTwinResponse, HealthResponse, LintRequest, LintResponse, LivezResponse, MetricsResponse,
+    NamedTrace, NodeDto, ObservationDto, ObserveAckDto, ObserveDeviceResponse, ObserveRequest,
+    ObserveResponse, OpDto, ReadyzResponse, RollingVerdictDto, ServerTiming, ShedMetrics,
+    TaskGraphDto, UnknownDto, VerifyFindingDto, VerifyRequest, VerifyResponse, VsafeRequest,
+    VsafeResponse, WcecRequest, WcecResponse, WcecTaskRow,
 };
 pub use error::{ApiError, ApiErrorKind};
 pub use plan::{LaunchSpec, PlanSpec};

@@ -6,7 +6,10 @@
 //! write `--pipeline` requests per batch before reading the batch of
 //! responses back. Per-response latency is measured from the batch
 //! write, so it includes queueing behind earlier requests on the same
-//! connection — the honest number for a pipelined client.
+//! connection — the honest number for a pipelined client. Responses are
+//! split with [`http::try_parse_response`], the parser the integration
+//! tests use; the pipelined batch loop stays here because a binary
+//! cannot import the tests' shared client module.
 //!
 //! Prints one JSON document to stdout:
 //!
@@ -18,7 +21,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use culpeo_served::{Server, ServerConfig};
+use culpeo_served::{http, Server, ServerConfig};
 
 struct Args {
     endpoint: String,
@@ -92,40 +95,6 @@ fn request_bytes(endpoint: &str) -> Vec<u8> {
     }
 }
 
-/// Consumes complete responses from the front of `buf`, panicking on a
-/// non-200 status. Returns how many were consumed and how many bytes.
-fn consume_responses(buf: &[u8]) -> (usize, usize) {
-    let mut done = 0;
-    let mut pos = 0;
-    loop {
-        let rest = &buf[pos..];
-        let Some(head_end) = rest.windows(4).position(|w| w == b"\r\n\r\n") else {
-            return (done, pos);
-        };
-        let head = &rest[..head_end];
-        assert!(
-            head.starts_with(b"HTTP/1.1 200"),
-            "non-200 under load: {}",
-            String::from_utf8_lossy(head)
-        );
-        let clen: usize = head
-            .split(|&b| b == b'\r')
-            .find_map(|line| {
-                let line = line.strip_prefix(b"\n").unwrap_or(line);
-                let text = std::str::from_utf8(line).ok()?;
-                let (k, v) = text.split_once(':')?;
-                k.eq_ignore_ascii_case("content-length")
-                    .then(|| v.trim().parse().ok())?
-            })
-            .expect("content-length header");
-        if rest.len() < head_end + 4 + clen {
-            return (done, pos);
-        }
-        pos += head_end + 4 + clen;
-        done += 1;
-    }
-}
-
 /// One client: pipelined batches against a keep-alive connection until
 /// the deadline. Returns per-response latencies in microseconds.
 fn client(addr: SocketAddr, request: &[u8], pipeline: usize, deadline: Instant) -> Vec<u64> {
@@ -148,13 +117,17 @@ fn client(addr: SocketAddr, request: &[u8], pipeline: usize, deadline: Instant) 
             let n = stream.read(&mut chunk).expect("read");
             assert!(n > 0, "daemon hung up mid-batch");
             buf.extend_from_slice(&chunk[..n]);
-            let (done, used) = consume_responses(&buf);
-            buf.drain(..used);
             let now = t0.elapsed().as_micros() as u64;
-            for _ in 0..done {
+            let mut used = 0;
+            while let Some((resp, len)) =
+                http::try_parse_response(&buf[used..]).expect("well-formed response")
+            {
+                assert_eq!(resp.status, 200, "non-200 under load: {}", resp.text());
+                used += len;
                 latencies.push(now);
+                answered += 1;
             }
-            answered += done;
+            buf.drain(..used);
         }
         // Always at least one full batch, even with an expired deadline
         // (how the warm-up pass runs).

@@ -56,8 +56,8 @@ use std::time::{Duration, Instant};
 
 use culpeo_api::{
     ApiError, ApiErrorKind, BatchRequest, HealthResponse, LintRequest, LivezResponse,
-    MetricsResponse, ObserveRequest, ReadyzResponse, VerifyRequest, VsafeRequest, VsafeResponse,
-    WcecRequest, SCHEMA_VERSION,
+    MetricsResponse, ObserveRequest, ReadyzResponse, ServerTiming, VerifyRequest, VsafeRequest,
+    VsafeResponse, WcecRequest, SCHEMA_VERSION,
 };
 use culpeo_exec::Sweep;
 
@@ -172,8 +172,6 @@ struct Job {
     /// The request finished parsing (queue-time anchor).
     parsed_at: Instant,
     request_id: u64,
-    /// The client asked `Connection: close`.
-    close: bool,
 }
 
 /// One serialised response on its way back to the reactor.
@@ -275,18 +273,16 @@ impl Shared {
 }
 
 /// Emits one structured JSON request-log line on stderr when
-/// `--log json` is on. The line reuses the schema-2 `server_timing`
-/// numbers, so logs and envelopes always agree.
-#[allow(clippy::too_many_arguments)]
+/// `--log json` is on. `timing` is the rendered `server_timing` object
+/// the envelope carries; its members go inline, so logs and envelopes
+/// always agree.
 fn log_request(
     shared: &Shared,
-    request_id: u64,
+    request_id: &str,
     method: &str,
     path: &str,
     status: u16,
-    queue_us: u64,
-    compute_us: u64,
-    fsync_us: Option<u64>,
+    timing: &str,
 ) {
     if shared.log != LogMode::Json {
         return;
@@ -295,11 +291,10 @@ fn log_request(
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
         .unwrap_or(0);
-    let fsync = fsync_us.map_or(String::new(), |f| format!(",\"fsync_us\":{f}"));
+    let members = &timing[1..timing.len() - 1];
     eprintln!(
-        "{{\"ts_us\":{ts_us},\"request_id\":\"r-{request_id:08}\",\
-         \"method\":\"{}\",\"path\":\"{}\",\"status\":{status},\
-         \"queue_us\":{queue_us},\"compute_us\":{compute_us}{fsync}}}",
+        "{{\"ts_us\":{ts_us},\"request_id\":\"{request_id}\",\
+         \"method\":\"{}\",\"path\":\"{}\",\"status\":{status},{members}}}",
         json_safe(method),
         json_safe(path),
     );
@@ -764,14 +759,13 @@ fn accept_ready(
 /// of a small response almost always lands in the socket buffer).
 fn reject(shared: &Shared, stream: TcpStream, kind: ApiErrorKind, msg: &str) {
     let _ = stream.set_nonblocking(true);
-    let e = ApiError::new(kind, msg);
-    let body = envelope(shared.next_request_id(), 0, 0, None, &error_body(&e));
-    let bytes = http::response_bytes(
-        e.http_status(),
-        "application/json",
-        e.kind.retry_after_s(),
-        body.as_bytes(),
-        true,
+    let r = error_routed(None, &ApiError::new(kind, msg));
+    let (bytes, _) = respond(
+        shared,
+        shared.next_request_id(),
+        None,
+        ServerTiming::default(),
+        r,
     );
     let _ = (&stream).write(&bytes);
 }
@@ -860,42 +854,39 @@ fn dispatch(
         answer_probe(shared, conn, &req, started, now);
         return;
     }
-    let close = http::wants_close(&req);
     let seq = conn.next_seq;
     conn.next_seq += 1;
+    let request_id = shared.next_request_id();
     let job = Job {
         conn: conn.id,
         seq,
         req,
         started,
         parsed_at: now,
-        request_id: shared.next_request_id(),
-        close,
+        request_id,
     };
     // Count before offering so a worker popping immediately can never
     // drive the gauge below zero; un-count on every rejected branch.
     shared.queued_jobs.fetch_add(1, Ordering::Relaxed);
-    match protocol::offer(&shared.shutting, tx, job) {
+    let e = match protocol::offer(&shared.shutting, tx, job) {
         Enqueue::Queued => {
             conn.in_flight += 1;
+            return;
         }
-        Enqueue::Draining(job) => {
-            shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
-            let e = ApiError::new(ApiErrorKind::ShuttingDown, "daemon is draining");
-            enqueue_local(shared, conn, seq, &e, job.request_id, started, now);
-        }
-        Enqueue::Busy(job) => {
-            shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
+        Enqueue::Draining(_) => ApiError::new(ApiErrorKind::ShuttingDown, "daemon is draining"),
+        Enqueue::Busy(_) => {
             shared.metrics.accept_rejected.record(0, true);
-            let e = ApiError::new(ApiErrorKind::Busy, "job queue is full; retry with backoff");
-            enqueue_local(shared, conn, seq, &e, job.request_id, started, now);
+            ApiError::new(ApiErrorKind::Busy, "job queue is full; retry with backoff")
         }
         Enqueue::Disconnected(_) => {
             shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
             conn.closing = true;
             conn.parse_done = true;
+            return;
         }
-    }
+    };
+    shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
+    enqueue_local(shared, conn, seq, &e, request_id, started, now);
 }
 
 /// Answers `/v1/livez` or `/v1/readyz` inline on the reactor thread,
@@ -929,45 +920,13 @@ fn answer_probe(
             &shared.metrics.readyz,
         )
     };
-    let close = http::wants_close(req) || status >= 400;
-    counters.record(0, status >= 400);
-    log_request(
-        shared,
-        request_id,
-        &req.method,
-        &req.path,
-        status,
-        0,
-        0,
-        None,
-    );
-    let enveloped = envelope(request_id, 0, 0, None, &body);
-    let retry_after = if status == 503 {
-        ApiErrorKind::Busy.retry_after_s()
-    } else {
-        None
+    // An unready daemon asks for the same backoff as a full queue.
+    let r = Routed {
+        kind: (status == 503).then_some(ApiErrorKind::Busy),
+        ..Routed::json(status, body, Some(counters))
     };
-    let bytes = http::response_bytes(
-        status,
-        "application/json",
-        retry_after,
-        enveloped.as_bytes(),
-        close,
-    );
-    conn.parked.insert(
-        seq,
-        Completion {
-            conn: conn.id,
-            seq,
-            bytes,
-            close,
-            started,
-        },
-    );
-    if close {
-        conn.parse_done = true;
-    }
-    pump_conn_inner(shared, conn, now);
+    let answer = respond(shared, request_id, Some(req), ServerTiming::default(), r);
+    park(shared, conn, seq, started, now, answer);
 }
 
 /// The readiness document: 200 only when the daemon is not draining,
@@ -1005,9 +964,8 @@ fn readyz_doc(shared: &Shared) -> (u16, ReadyzResponse) {
     )
 }
 
-/// Parks a reactor-generated error response under the sequence number
-/// the failed request would have used, so ordering holds even
-/// mid-pipeline. Reactor errors always close the connection.
+/// Answers a request the reactor refuses before any worker sees it.
+/// Reactor errors always close the connection.
 fn enqueue_local(
     shared: &Arc<Shared>,
     conn: &mut Conn,
@@ -1017,27 +975,34 @@ fn enqueue_local(
     started: Instant,
     now: Instant,
 ) {
-    shared.metrics.other.record(0, true);
-    log_request(shared, request_id, "-", "-", e.http_status(), 0, 0, None);
-    let body = envelope(request_id, 0, 0, None, &error_body(e));
-    let bytes = http::response_bytes(
-        e.http_status(),
-        "application/json",
-        e.kind.retry_after_s(),
-        body.as_bytes(),
-        true,
-    );
+    let r = error_routed(Some(&shared.metrics.other), e);
+    let answer = respond(shared, request_id, None, ServerTiming::default(), r);
+    park(shared, conn, seq, started, now, answer);
+}
+
+/// Parks a reactor-built answer under the sequence number its request
+/// took, so ordering holds even mid-pipeline, then pumps the connection.
+fn park(
+    shared: &Arc<Shared>,
+    conn: &mut Conn,
+    seq: u64,
+    started: Instant,
+    now: Instant,
+    (bytes, close): (Vec<u8>, bool),
+) {
     conn.parked.insert(
         seq,
         Completion {
             conn: conn.id,
             seq,
             bytes,
-            close: true,
+            close,
             started,
         },
     );
-    conn.parse_done = true;
+    if close {
+        conn.parse_done = true;
+    }
     pump_conn_inner(shared, conn, now);
 }
 
@@ -1053,7 +1018,7 @@ fn enqueue_parse_error(shared: &Arc<Shared>, conn: &mut Conn, e: &HttpError, now
             ShedCounters::bump(&shared.metrics.shed.oversize_rejects);
             ApiError::new(ApiErrorKind::TooLarge, e.to_string())
         }
-        HttpError::Io(_) | HttpError::Malformed(_) => ApiError::bad_request(e),
+        HttpError::Malformed(_) => ApiError::bad_request(e),
     };
     let seq = conn.next_seq;
     conn.next_seq += 1;
@@ -1221,53 +1186,23 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<std::sync::mpsc::Receiver<Job>>>)
     while let Some(job) = protocol::next_job(rx.as_ref()) {
         shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
         let picked = Instant::now();
-        let queue_us = us_between(job.parsed_at, picked);
         let routed =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(shared, &job.req)));
-        let r = match routed {
-            Ok(r) => r,
-            Err(_) => {
-                ShedCounters::bump(&shared.metrics.shed.handler_panics);
-                Routed {
-                    status: 500,
-                    body: error_body(&ApiError::new(
-                        ApiErrorKind::Internal,
-                        "handler panicked; see daemon stderr",
-                    )),
-                    content_type: "application/json",
-                    counters: &shared.metrics.other,
-                    was_error: true,
-                    shutdown_after: false,
-                    enveloped: true,
-                    fsync_us: None,
-                }
-            }
+        let r = routed.unwrap_or_else(|_| {
+            ShedCounters::bump(&shared.metrics.shed.handler_panics);
+            let e = ApiError::new(
+                ApiErrorKind::Internal,
+                "handler panicked; see daemon stderr",
+            );
+            error_routed(Some(&shared.metrics.other), &e)
+        });
+        let timing = ServerTiming {
+            queue_us: us_between(job.parsed_at, picked),
+            compute_us: us_between(picked, Instant::now()),
+            fsync_us: r.fsync_us,
         };
-        let compute_us = us_between(picked, Instant::now());
-        r.counters.record(queue_us + compute_us, r.was_error);
-        log_request(
-            shared,
-            job.request_id,
-            &job.req.method,
-            &job.req.path,
-            r.status,
-            queue_us,
-            compute_us,
-            r.fsync_us,
-        );
-        let body = if r.enveloped {
-            envelope(job.request_id, queue_us, compute_us, r.fsync_us, &r.body)
-        } else {
-            r.body
-        };
-        let close = job.close || r.status >= 400 || r.shutdown_after;
-        let bytes = http::response_bytes(
-            r.status,
-            r.content_type,
-            retry_after_for(r.status),
-            body.as_bytes(),
-            close,
-        );
+        let shutdown_after = r.shutdown_after;
+        let (bytes, close) = respond(shared, job.request_id, Some(&job.req), timing, r);
         let owes_wake = protocol::publish_completion(
             &shared.completions,
             &shared.wake_pending,
@@ -1282,37 +1217,49 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<std::sync::mpsc::Receiver<Job>>>)
         if owes_wake {
             shared.waker.wake();
         }
-        if r.shutdown_after {
+        if shutdown_after {
             shared.request_shutdown();
         }
     }
 }
 
-fn retry_after_for(status: u16) -> Option<u32> {
-    match status {
-        408 => ApiErrorKind::Timeout.retry_after_s(),
-        503 => ApiErrorKind::Busy.retry_after_s(),
-        _ => None,
-    }
-}
-
-/// The schema-2 response envelope. Hand-assembled (the vendored serde
-/// stub cannot derive generics), with `data` last so readers can strip
-/// the envelope with one prefix match. Durable-ingest answers append
-/// `fsync_us` inside `server_timing`, after the two pinned keys.
-fn envelope(
+/// Builds every response the daemon sends, whoever answers it (a
+/// worker, an inline probe, a reactor-side error, an accept-time
+/// rejection): records the endpoint counters, writes the log line,
+/// wraps the schema-2 envelope, takes `Retry-After` from the error kind
+/// and serialises. `req` is `None` when no request parsed (logged as
+/// `-`, and the connection closes). Returns the bytes and whether the
+/// connection closes after them.
+fn respond(
+    shared: &Shared,
     request_id: u64,
-    queue_us: u64,
-    compute_us: u64,
-    fsync_us: Option<u64>,
-    data: &str,
-) -> String {
-    let fsync = fsync_us.map_or(String::new(), |f| format!(",\"fsync_us\":{f}"));
-    format!(
-        "{{\"schema_version\":{SCHEMA_VERSION},\"request_id\":\"r-{request_id:08}\",\
-         \"server_timing\":{{\"queue_us\":{queue_us},\"compute_us\":{compute_us}{fsync}}},\
-         \"data\":{data}}}"
-    )
+    req: Option<&Request>,
+    timing: ServerTiming,
+    r: Routed<'_>,
+) -> (Vec<u8>, bool) {
+    let failed = r.status >= 400;
+    if let Some(counters) = r.counters {
+        counters.record(timing.queue_us + timing.compute_us, failed);
+    }
+    let request_id = format!("r-{request_id:08}");
+    let timing = serde_json::to_string(&timing).expect("timing serialisation is infallible");
+    let (method, path) = req.map_or(("-", "-"), |q| (q.method.as_str(), q.path.as_str()));
+    log_request(shared, &request_id, method, path, r.status, &timing);
+    let body = if r.enveloped {
+        culpeo_api::server_envelope(&request_id, &timing, &r.body)
+    } else {
+        r.body
+    };
+    let close = req.is_none_or(http::wants_close) || failed || r.shutdown_after;
+    let retry_after = r.kind.and_then(ApiErrorKind::retry_after_s);
+    let bytes = http::response_bytes(
+        r.status,
+        r.content_type,
+        retry_after,
+        body.as_bytes(),
+        close,
+    );
+    (bytes, close)
 }
 
 /// Routing result: status, JSON body (pre-envelope), metrics row, and
@@ -1321,14 +1268,33 @@ struct Routed<'a> {
     status: u16,
     body: String,
     content_type: &'static str,
-    counters: &'a EndpointCounters,
-    was_error: bool,
+    /// The error kind behind a failure; it picks `Retry-After`.
+    kind: Option<ApiErrorKind>,
+    /// The endpoint row to record into (`None`: an accept-time
+    /// rejection, counted by its caller if at all).
+    counters: Option<&'a EndpointCounters>,
     shutdown_after: bool,
     /// Wrap in the schema-2 envelope (everything but NDJSON streams).
     enveloped: bool,
     /// Microseconds the handler spent inside the store's durability
     /// path (`/v1/observe` only); surfaced in `server_timing`.
     fsync_us: Option<u64>,
+}
+
+impl<'a> Routed<'a> {
+    /// An enveloped JSON answer with no error kind.
+    fn json(status: u16, body: String, counters: Option<&'a EndpointCounters>) -> Self {
+        Routed {
+            status,
+            body,
+            content_type: "application/json",
+            kind: None,
+            counters,
+            shutdown_after: false,
+            enveloped: true,
+            fsync_us: None,
+        }
+    }
 }
 
 #[allow(clippy::too_many_lines)]
@@ -1387,7 +1353,7 @@ fn route<'a>(shared: &'a Shared, req: &Request) -> Routed<'a> {
                     r.fsync_us = Some(fsync_us);
                     r
                 }
-                Err(e) => error_routed(&shared.metrics.observe, &e),
+                Err(e) => error_routed(Some(&shared.metrics.observe), &e),
             }
         }
         ("GET", path) if path.starts_with("/v1/observe/") => {
@@ -1410,14 +1376,9 @@ fn route<'a>(shared: &'a Shared, req: &Request) -> Routed<'a> {
             let body = shared.fleet.drain_events_ndjson();
             shared.metrics.fleet_events.record(0, false);
             Routed {
-                status: 200,
-                body,
                 content_type: "application/x-ndjson",
-                counters: &shared.metrics.fleet_events,
-                was_error: false,
-                shutdown_after: false,
                 enveloped: false,
-                fsync_us: None,
+                ..Routed::json(200, body, Some(&shared.metrics.fleet_events))
             }
         }
         ("GET", path) if path.starts_with("/v1/fleet/") => {
@@ -1460,14 +1421,14 @@ fn route<'a>(shared: &'a Shared, req: &Request) -> Routed<'a> {
                 ApiErrorKind::MethodNotAllowed,
                 format!("{} does not accept {}", req.path, req.method),
             );
-            error_routed(&shared.metrics.other, &e)
+            error_routed(Some(&shared.metrics.other), &e)
         }
         _ => {
             let e = ApiError::new(
                 ApiErrorKind::NotFound,
                 format!("no such endpoint: {}", req.path),
             );
-            error_routed(&shared.metrics.other, &e)
+            error_routed(Some(&shared.metrics.other), &e)
         }
     }
 }
@@ -1489,30 +1450,19 @@ fn finish<T: serde::Serialize>(
     outcome: Result<T, ApiError>,
 ) -> Routed<'_> {
     match outcome {
-        Ok(doc) => Routed {
-            status: 200,
-            body: serde_json::to_string(&doc).expect("response serialisation is infallible"),
-            content_type: "application/json",
-            counters,
-            was_error: false,
-            shutdown_after: false,
-            enveloped: true,
-            fsync_us: None,
-        },
-        Err(e) => error_routed(counters, &e),
+        Ok(doc) => Routed::json(
+            200,
+            serde_json::to_string(&doc).expect("response serialisation is infallible"),
+            Some(counters),
+        ),
+        Err(e) => error_routed(Some(counters), &e),
     }
 }
 
-fn error_routed<'a>(counters: &'a EndpointCounters, e: &ApiError) -> Routed<'a> {
+fn error_routed<'a>(counters: Option<&'a EndpointCounters>, e: &ApiError) -> Routed<'a> {
     Routed {
-        status: e.http_status(),
-        body: error_body(e),
-        content_type: "application/json",
-        counters,
-        was_error: true,
-        shutdown_after: false,
-        enveloped: true,
-        fsync_us: None,
+        kind: Some(e.kind),
+        ..Routed::json(e.http_status(), error_body(e), counters)
     }
 }
 

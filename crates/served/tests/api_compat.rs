@@ -7,10 +7,8 @@
 //! live daemon over TCP so what is pinned is the actual wire shape, not
 //! a serialisation detail.
 
-use std::io::Read;
-
 mod common;
-use common::{boot, roundtrip_raw, send};
+use common::{boot, read_response, roundtrip_raw, send};
 
 /// The schema-1 `/v1/vsafe` request, as a byte-for-byte client literal.
 const SCHEMA1_VSAFE: &str = r##"{"schema_version": 1, "trace_csv": "# dt_us: 8\n0.0,0.010\n0.000008,0.025\n0.000016,0.010\n"}"##;
@@ -234,11 +232,13 @@ fn fleet_surface_registers_reports_and_streams() {
     assert_eq!(status, 404);
 
     // The NDJSON stream: un-enveloped, one schema-2 event per line.
-    let mut s = send(addr, "GET", "/v1/fleet/events", "");
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).unwrap();
-    assert!(raw.contains("application/x-ndjson"), "{raw}");
-    let body = raw.split_once("\r\n\r\n").unwrap().1;
+    let resp = read_response(&mut send(addr, "GET", "/v1/fleet/events", ""));
+    let body = resp.text();
+    assert_eq!(
+        resp.header("content-type"),
+        Some("application/x-ndjson"),
+        "{body}"
+    );
     let lines: Vec<&str> = body.lines().filter(|l| !l.is_empty()).collect();
     assert_eq!(lines.len(), 2, "one event per completed round: {body}");
     for line in lines {

@@ -1,6 +1,8 @@
 //! The HTTP test client the daemon's integration tests share: boot a
-//! daemon on an ephemeral port, send one request per connection, split
-//! pipelined responses, and strip the schema-2 response envelope.
+//! daemon on an ephemeral port, send one request per connection, and
+//! read responses back with the daemon's own response parser
+//! ([`http::try_parse_response`]). The schema-2 envelope is stripped by
+//! [`culpeo_api::unwrap_envelope`].
 
 // Each test binary compiles this module and uses a subset of it.
 #![allow(dead_code)]
@@ -8,6 +10,8 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
+use culpeo_api::unwrap_envelope;
+use culpeo_served::http::{self, Response};
 use culpeo_served::{Server, ServerConfig};
 
 /// A two-worker daemon config on an ephemeral port, so tests never fight
@@ -41,7 +45,8 @@ pub fn send(addr: SocketAddr, method: &str, path: &str, body: &str) -> TcpStream
 /// [`send`], then [`read_response`]: the status and the raw body, its
 /// envelope intact.
 pub fn roundtrip_raw(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    read_response(&mut send(addr, method, path, body))
+    let resp = read_response(&mut send(addr, method, path, body));
+    (resp.status, resp.text())
 }
 
 /// [`roundtrip_raw`] with the envelope stripped: returns the inner
@@ -51,63 +56,50 @@ pub fn roundtrip(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16
     (status, unwrap_envelope(&body).to_string())
 }
 
-/// Reads one response to EOF; returns the status and the raw body.
-pub fn read_response(s: &mut TcpStream) -> (u16, String) {
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).expect("read response");
-    assert!(raw.starts_with("HTTP/1.1 "), "raw: {raw:?}");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let body = raw.split_once("\r\n\r\n").expect("header terminator").1;
-    (status, body.to_string())
+/// Reads the connection to EOF, which must carry exactly one response.
+pub fn read_response(s: &mut TcpStream) -> Response {
+    let mut raw = Vec::new();
+    s.read_to_end(&mut raw).expect("read response");
+    let mut responses = parse_responses(&raw);
+    assert_eq!(
+        responses.len(),
+        1,
+        "raw: {:?}",
+        String::from_utf8_lossy(&raw)
+    );
+    responses.pop().unwrap()
 }
 
-/// Splits a raw byte stream (read to EOF) into `(status, body)` pairs by
-/// walking head terminators and `Content-Length`.
-pub fn parse_responses(raw: &[u8]) -> Vec<(u16, String)> {
+/// Splits a raw byte stream (read to EOF) into its pipelined responses;
+/// the bytes must end exactly on a response boundary.
+pub fn parse_responses(raw: &[u8]) -> Vec<Response> {
     let mut out = Vec::new();
     let mut rest = raw;
     while !rest.is_empty() {
-        let head_end = rest
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .expect("head terminator")
-            + 4;
-        let head = String::from_utf8_lossy(&rest[..head_end]).to_string();
-        let status: u16 = head
-            .split_whitespace()
-            .nth(1)
-            .expect("status")
-            .parse()
-            .expect("numeric status");
-        let clen: usize = head
-            .lines()
-            .find_map(|l| {
-                let (k, v) = l.split_once(':')?;
-                k.eq_ignore_ascii_case("content-length")
-                    .then(|| v.trim().parse().ok())?
-            })
-            .expect("content-length header");
-        let body = String::from_utf8_lossy(&rest[head_end..head_end + clen]).to_string();
-        out.push((status, body));
-        rest = &rest[head_end + clen..];
+        let (resp, used) = http::try_parse_response(rest)
+            .expect("well-formed response")
+            .unwrap_or_else(|| panic!("truncated response: {:?}", String::from_utf8_lossy(rest)));
+        out.push(resp);
+        rest = &rest[used..];
     }
     out
 }
 
-/// Strips the schema-2 response envelope, returning the inner `data`
-/// document (the envelope serialises `data` last, so the payload runs to
-/// the closing brace). Anything else passes through unchanged.
-pub fn unwrap_envelope(body: &str) -> &str {
-    let marker = "\"data\":";
-    match body.find(marker) {
-        Some(i) if body.starts_with("{\"schema_version\"") && body.ends_with('}') => {
-            &body[i + marker.len()..body.len() - 1]
+/// Reads exactly one response off a connection that stays open,
+/// carrying bytes past it over in `buf` for the next call.
+pub fn read_one(s: &mut TcpStream, buf: &mut Vec<u8>) -> Response {
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some((resp, used)) = http::try_parse_response(buf).expect("well-formed response") {
+            buf.drain(..used);
+            return resp;
         }
-        _ => body,
+        let n = s.read(&mut chunk).expect("read");
+        assert!(
+            n > 0,
+            "EOF mid-response: {:?}",
+            String::from_utf8_lossy(buf)
+        );
+        buf.extend_from_slice(&chunk[..n]);
     }
 }

@@ -12,7 +12,8 @@ use culpeo_api::{
 use culpeo_served::{handle, Server, ServerConfig};
 
 mod common;
-use common::{read_response, roundtrip, roundtrip_raw, send, test_config, unwrap_envelope};
+use common::{parse_responses, read_response, roundtrip, roundtrip_raw, send, test_config};
+use culpeo_api::unwrap_envelope;
 
 fn ble_csv() -> String {
     let trace = culpeo_loadgen::peripheral::BleRadio::default()
@@ -158,10 +159,9 @@ fn shutdown_drains_accepted_requests_before_exit() {
     assert_eq!(h.status, "draining");
 
     // Both in-flight requests must still get complete answers.
-    let (sa, ba) = read_response(&mut a);
-    let (sb, bb) = read_response(&mut b);
-    assert_eq!((sa, sb), (200, 200));
-    assert!(ba.contains("v_safe_v") && bb.contains("v_safe_v"));
+    let (ra, rb) = (read_response(&mut a), read_response(&mut b));
+    assert_eq!((ra.status, rb.status), (200, 200));
+    assert!(ra.text().contains("v_safe_v") && rb.text().contains("v_safe_v"));
 
     // join() returning at all proves the drain terminates.
     let summary = server.join();
@@ -418,13 +418,11 @@ fn readyz_flips_to_503_during_drain_while_inflight_work_completes() {
     s.write_all(b"GET /v1/readyz HTTP/1.1\r\nHost: e2e\r\nContent-Length: 0\r\n\r\n")
         .unwrap();
 
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).unwrap();
-    let statuses: Vec<u16> = raw
-        .split("HTTP/1.1 ")
-        .skip(1)
-        .map(|chunk| chunk.split_whitespace().next().unwrap().parse().unwrap())
-        .collect();
+    let mut raw = Vec::new();
+    s.read_to_end(&mut raw).unwrap();
+    let responses = parse_responses(&raw);
+    let statuses: Vec<u16> = responses.iter().map(|r| r.status).collect();
+    let raw = String::from_utf8_lossy(&raw);
     assert_eq!(
         statuses,
         vec![200, 200, 503],

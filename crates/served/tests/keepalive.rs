@@ -14,7 +14,8 @@ use std::time::Duration;
 use culpeo_served::{Server, ServerConfig};
 
 mod common;
-use common::{parse_responses, send, test_config, unwrap_envelope};
+use common::{parse_responses, read_one, send, test_config};
+use culpeo_api::unwrap_envelope;
 
 /// A `/v1/vsafe` request over a tiny constant-then-pulse trace,
 /// parameterised so different requests have observably different
@@ -34,13 +35,8 @@ fn http_head(method: &str, path: &str, body_len: usize, close: bool) -> String {
 
 /// One request per fresh connection, `Connection: close`.
 fn serial_roundtrip(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    let mut raw = Vec::new();
-    send(addr, "POST", path, body)
-        .read_to_end(&mut raw)
-        .unwrap();
-    let mut responses = parse_responses(&raw);
-    assert_eq!(responses.len(), 1);
-    responses.pop().unwrap()
+    let resp = common::read_response(&mut send(addr, "POST", path, body));
+    (resp.status, resp.text())
 }
 
 #[test]
@@ -51,44 +47,21 @@ fn one_connection_answers_many_sequential_requests() {
     let mut s = TcpStream::connect(addr).unwrap();
     let body = vsafe_request(0.025);
     let mut answers = Vec::new();
+    let mut buf = Vec::new();
     for round in 0..3 {
         s.write_all(http_head("POST", "/v1/vsafe", body.len(), false).as_bytes())
             .unwrap();
         s.write_all(body.as_bytes()).unwrap();
         // Read exactly one response off the still-open connection.
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 4096];
-        loop {
-            if let Some(i) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                let head = String::from_utf8_lossy(&buf[..i + 4]).to_string();
-                let clen: usize = head
-                    .lines()
-                    .find_map(|l| {
-                        let (k, v) = l.split_once(':')?;
-                        k.eq_ignore_ascii_case("content-length")
-                            .then(|| v.trim().parse().ok())?
-                    })
-                    .expect("content-length");
-                while buf.len() < i + 4 + clen {
-                    let n = s.read(&mut chunk).unwrap();
-                    assert!(n > 0, "EOF mid-body on round {round}");
-                    buf.extend_from_slice(&chunk[..n]);
-                }
-                assert!(
-                    head.contains("Connection: keep-alive"),
-                    "round {round} must keep the connection alive: {head}"
-                );
-                answers.push(
-                    unwrap_envelope(&String::from_utf8_lossy(&buf[i + 4..i + 4 + clen]))
-                        .to_string(),
-                );
-                break;
-            }
-            let n = s.read(&mut chunk).unwrap();
-            assert!(n > 0, "EOF mid-head on round {round}");
-            buf.extend_from_slice(&chunk[..n]);
-        }
+        let resp = read_one(&mut s, &mut buf);
+        assert_eq!(
+            resp.header("connection"),
+            Some("keep-alive"),
+            "round {round} must keep the connection alive: {resp:?}"
+        );
+        answers.push(unwrap_envelope(&resp.text()).to_string());
     }
+    assert!(buf.is_empty(), "one response per request");
     assert_eq!(answers.len(), 3);
     assert_eq!(answers[0], answers[1], "same request, same payload");
     assert_eq!(answers[1], answers[2]);
@@ -119,7 +92,10 @@ fn pipelined_responses_arrive_in_order_and_match_serial_byte_for_byte() {
     s.write_all(&wire).unwrap();
     let mut raw = Vec::new();
     s.read_to_end(&mut raw).unwrap();
-    let pipelined = parse_responses(&raw);
+    let pipelined: Vec<(u16, String)> = parse_responses(&raw)
+        .into_iter()
+        .map(|r| (r.status, r.text()))
+        .collect();
     assert_eq!(pipelined.len(), bodies.len(), "one response per request");
 
     for (i, body) in bodies.iter().enumerate() {
@@ -197,8 +173,8 @@ fn slow_loris_mid_keepalive_is_cut_off_with_408() {
     s.read_to_end(&mut raw).unwrap();
     let responses = parse_responses(&raw);
     assert_eq!(responses.len(), 2, "raw: {}", String::from_utf8_lossy(&raw));
-    assert_eq!(responses[0].0, 200);
-    assert_eq!(responses[1].0, 408);
+    assert_eq!(responses[0].status, 200);
+    assert_eq!(responses[1].status, 408);
 
     server.shutdown_handle().request();
     let _ = server.join();
