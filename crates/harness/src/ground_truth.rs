@@ -34,36 +34,6 @@ pub fn completes_from(
         .completed()
 }
 
-/// [`completes_from`] with memoisation keyed on `(plant_key, load,
-/// v_start)`.
-///
-/// The figure drivers re-run the same bisection probes many times — every
-/// estimator sharing a plant triggers the same ground-truth search, and
-/// the test suite invokes each driver repeatedly. A probe verdict is a
-/// pure function of the plant, the load, and the start voltage, so it is
-/// cached globally. `plant_key` must uniquely identify what `make_system`
-/// builds; callers that mutate a shared plant family (aging sweeps, bank
-/// reconfiguration) must fold those parameters into the key.
-#[must_use]
-pub fn completes_from_cached(
-    plant_key: &str,
-    make_system: &(dyn Fn() -> PowerSystem + Sync),
-    load: &LoadProfile,
-    v_start: Volts,
-) -> bool {
-    let key = (
-        plant_key.to_owned(),
-        load_fingerprint(load),
-        v_start.get().to_bits(),
-    );
-    if let Some(&verdict) = truth_cache().lock().unwrap().get(&key) {
-        return verdict;
-    }
-    let verdict = completes_from(make_system, load, v_start);
-    truth_cache().lock().unwrap().insert(key, verdict);
-    verdict
-}
-
 /// Binary-searches the smallest starting voltage from which `load`
 /// completes, to within [`TOLERANCE`].
 ///
@@ -74,29 +44,7 @@ pub fn true_vsafe(
     make_system: &(dyn Fn() -> PowerSystem + Sync),
     load: &LoadProfile,
 ) -> Option<Volts> {
-    bisect(make_system, load, None)
-}
-
-/// [`true_vsafe`] with every bisection probe memoised through
-/// [`completes_from_cached`] under `plant_key`.
-#[must_use]
-pub fn true_vsafe_cached(
-    plant_key: &str,
-    make_system: &(dyn Fn() -> PowerSystem + Sync),
-    load: &LoadProfile,
-) -> Option<Volts> {
-    bisect(make_system, load, Some(plant_key))
-}
-
-fn bisect(
-    make_system: &(dyn Fn() -> PowerSystem + Sync),
-    load: &LoadProfile,
-    plant_key: Option<&str>,
-) -> Option<Volts> {
-    let probe = |v: Volts| match plant_key {
-        Some(key) => completes_from_cached(key, make_system, load, v),
-        None => completes_from(make_system, load, v),
-    };
+    let probe = |v: Volts| completes_from(make_system, load, v);
     let reference = make_system();
     let v_off = reference.monitor().v_off();
     let v_high = reference.monitor().v_high();
@@ -119,16 +67,36 @@ fn bisect(
     Some(hi)
 }
 
-/// Batched [`true_vsafe_cached`] over a whole load grid: every search
+/// [`true_vsafe`] with every bisection probe memoised under `plant_key`:
+/// the one-load case of [`true_vsafe_batch`].
+///
+/// The figure drivers re-run the same bisection probes many times — every
+/// estimator sharing a plant triggers the same ground-truth search, and
+/// the test suite invokes each driver repeatedly. A probe verdict is a
+/// pure function of the plant, the load, and the start voltage, so it is
+/// cached globally. `plant_key` must uniquely identify what `make_system`
+/// builds; callers that mutate a shared plant family (aging sweeps, bank
+/// reconfiguration) must fold those parameters into the key.
+#[must_use]
+pub fn true_vsafe_cached(
+    plant_key: &str,
+    make_system: &(dyn Fn() -> PowerSystem + Sync),
+    load: &LoadProfile,
+) -> Option<Volts> {
+    true_vsafe_batch(plant_key, make_system, std::slice::from_ref(load))[0]
+}
+
+/// Batched, memoised [`true_vsafe`] over a whole load grid: every search
 /// bisects in lock-step rounds, and each round's probes run through the
 /// powersim lanes kernel so one invocation advances up to eight
 /// simulations at once.
 ///
 /// Each load follows exactly the scalar bisection's candidate sequence,
 /// and the lanes kernel is bitwise-identical to the serial probe, so the
-/// returned voltages equal [`true_vsafe_cached`]'s. Every probe verdict
-/// lands in the shared cache — the figure drivers call this once up
-/// front, then their per-load searches resolve entirely from cache.
+/// returned voltages equal [`true_vsafe`]'s. Every probe verdict lands in
+/// the shared cache under `plant_key` (see [`true_vsafe_cached`]) — the
+/// figure drivers call this once up front, then their per-load searches
+/// resolve entirely from cache.
 #[must_use]
 pub fn true_vsafe_batch(
     plant_key: &str,
@@ -207,12 +175,7 @@ fn probe_round(
     {
         let cache = truth_cache().lock().unwrap();
         for (q, &(i, v)) in queries.iter().enumerate() {
-            let key = (
-                plant_key.to_owned(),
-                load_fingerprint(&loads[i]),
-                v.get().to_bits(),
-            );
-            match cache.get(&key) {
+            match cache.get(&truth_key(plant_key, &loads[i], v)) {
                 Some(&verdict) => verdicts[q] = verdict,
                 None => misses.push(q),
             }
@@ -239,14 +202,7 @@ fn probe_round(
         let (i, v) = queries[q];
         let verdict = outcome.completed();
         verdicts[q] = verdict;
-        cache.insert(
-            (
-                plant_key.to_owned(),
-                load_fingerprint(&loads[i]),
-                v.get().to_bits(),
-            ),
-            verdict,
-        );
+        cache.insert(truth_key(plant_key, &loads[i], v), verdict);
     }
     verdicts
 }
@@ -259,6 +215,16 @@ pub fn clear_truth_cache() {
 }
 
 type TruthKey = (String, u64, u64);
+
+/// A probe verdict's cache key: the plant, the load's fingerprint, and
+/// the start voltage's bits.
+fn truth_key(plant_key: &str, load: &LoadProfile, v_start: Volts) -> TruthKey {
+    (
+        plant_key.to_owned(),
+        load_fingerprint(load),
+        v_start.get().to_bits(),
+    )
+}
 
 fn truth_cache() -> &'static Mutex<HashMap<TruthKey, bool>> {
     static CACHE: OnceLock<Mutex<HashMap<TruthKey, bool>>> = OnceLock::new();
@@ -385,8 +351,8 @@ mod tests {
         clear_truth_cache();
         let scalar: Vec<Option<Volts>> = loads.iter().map(|l| true_vsafe(&make, l)).collect();
         assert_eq!(batch, scalar);
-        // The batch left every probe verdict behind: the cached scalar
-        // search must now resolve without fresh simulations.
+        // The batch left every probe verdict behind: the cached search
+        // must now resolve without fresh simulations.
         clear_truth_cache();
         let warm = true_vsafe_batch("reference", &make, &loads);
         for (b, l) in warm.iter().zip(&loads) {

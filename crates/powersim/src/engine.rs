@@ -389,10 +389,8 @@ impl PowerSystem {
     /// dies there.
     #[must_use]
     pub fn run_profile(&mut self, profile: &LoadProfile, cfg: RunConfig) -> RunOutcome {
-        if cfg.kernel == Kernel::Event {
-            if let Some(out) = crate::event::try_run_profile(self, profile, cfg) {
-                return out;
-            }
+        if crate::event::in_scope(self, &cfg) {
+            return crate::event::run_profile(self, profile, cfg);
         }
         self.run_profile_fixed(profile, cfg)
     }

@@ -32,14 +32,25 @@
 //! verdicts, and rail collapse happen on exactly the grid step the
 //! fixed-step loop would pick.
 //!
+//! One plan runner ([`PlanRun`]) drives every profile and span. It steps
+//! per-step pieces and guard-band blocks itself and stops at each anchored
+//! chunk: [`PowerSystem::run_profile`], [`EventStepper::run_profile_steps`]
+//! and [`EventStepper::run_const`] run that chunk inline, [`crate::Lanes`]
+//! parks it and packs it with other runs' chunks. Either way the chunk
+//! goes through one dispatch table ([`run_chunks`]) onto one step body
+//! ([`ChunkLoop::step`]) and is committed back by its runner.
+//!
 //! [`Kernel::Event`]: crate::engine::Kernel
 //! [`Kernel::FixedStep`]: crate::engine::Kernel
 
-use culpeo_loadgen::{LoadProfile, Segment};
+use std::borrow::Cow;
+
+use culpeo_loadgen::{LoadProfile, ProfileCursor, Segment};
 use culpeo_units::{Amps, Joules, Seconds, Volts};
 
 use crate::{
-    engine::RunConfig, Harvester, MonitorState, PowerSystem, RunOutcome, StepOutput, VoltageSample,
+    engine::{Kernel, RunConfig},
+    EnergyLedger, Harvester, MonitorState, PowerSystem, RunOutcome, StepOutput, VoltageSample,
     VoltageTrace,
 };
 
@@ -64,7 +75,7 @@ const LEVEL_BAND_V: f64 = 1e-6;
 const DELTA_V: f64 = 2e-3;
 
 /// Number of literal [`PowerSystem::step`] calls per guard-band block.
-pub(crate) const REAL_BLOCK: usize = 32;
+const REAL_BLOCK: usize = 32;
 
 /// The chunk model is rejected when `G + dD/dv` falls below this fraction
 /// of `G`: the operating point is approaching the fold where the Newton
@@ -110,15 +121,15 @@ pub enum SpanEnd {
 /// Running summary of a span: the strict-first-occurrence minimum the
 /// fixed-step loop tracks, plus the collapse latch.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Acc {
-    pub(crate) v_min: f64,
-    pub(crate) t_min: f64,
-    pub(crate) seen: bool,
-    pub(crate) collapsed: bool,
+struct Acc {
+    v_min: f64,
+    t_min: f64,
+    seen: bool,
+    collapsed: bool,
 }
 
 impl Acc {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             v_min: f64::MAX,
             t_min: 0.0,
@@ -127,7 +138,7 @@ impl Acc {
         }
     }
 
-    pub(crate) fn observe(&mut self, out: &StepOutput) {
+    fn observe(&mut self, out: &StepOutput) {
         self.seen = true;
         if out.collapsed {
             self.collapsed = true;
@@ -154,7 +165,7 @@ pub(crate) enum Charge {
 
 /// The post-step break check shared by every span/plan loop — evaluated
 /// *after* a step executes, exactly like the fixed-step loops it replaces.
-pub(crate) fn breaks(brk: BreakOn, i: Amps, out: &StepOutput) -> bool {
+fn breaks(brk: BreakOn, i: Amps, out: &StepOutput) -> bool {
     let fault = i.get() > 0.0 && !out.delivering;
     match brk {
         BreakOn::Never => false,
@@ -164,7 +175,8 @@ pub(crate) fn breaks(brk: BreakOn, i: Amps, out: &StepOutput) -> bool {
 }
 
 /// Work counters of one [`EventStepper`]: how its steps were advanced.
-/// Bumped once per chunk or real-step block, never per step.
+/// They count the steps actually executed, so a span that breaks counts
+/// up to its breaking step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Committed chunks (looped or strided).
@@ -186,6 +198,34 @@ impl KernelCounters {
         self.strided_chunks += other.strided_chunks;
         self.real_steps += other.real_steps;
     }
+}
+
+/// Whether the chunk model covers `sys` at step `dt`: at most
+/// [`MAX_BRANCHES`] branches, all connected (floating branches follow
+/// leak-only dynamics), and a charge source it can follow. Constant-power
+/// charging is the chunk loop's explicit `i = p/v_prev` recurrence (clamps
+/// guarded away); windowed sources flipping nearly every step would chunk
+/// badly, so they stay on the reference loop.
+fn covers(sys: &PowerSystem, dt: f64) -> bool {
+    let buffer = sys.buffer();
+    let n = buffer.branches().len();
+    dt > 0.0
+        && n <= MAX_BRANCHES
+        && (0..n).all(|b| buffer.branch_connected(b))
+        && match sys.harvester() {
+            Harvester::Off | Harvester::ConstantCurrent(_) | Harvester::ConstantPower(_) => true,
+            Harvester::Windowed { period, .. } => period.get() >= 4.0 * dt,
+        }
+}
+
+/// Whether [`PowerSystem::run_profile`] under `cfg` runs on the event
+/// kernel: the one scope check behind it and [`crate::Lanes`]. Decimated
+/// trace recording and plants the chunk model does not cover take the
+/// fixed-step loop.
+pub(crate) fn in_scope(sys: &PowerSystem, cfg: &RunConfig) -> bool {
+    cfg.kernel == Kernel::Event
+        && (cfg.summary_only || cfg.record_stride == usize::MAX)
+        && covers(sys, cfg.dt.get())
 }
 
 /// The event kernel's stepping facade over a [`PowerSystem`].
@@ -226,20 +266,14 @@ impl<'a> EventStepper<'a> {
     pub fn new(sys: &'a mut PowerSystem, dt: Seconds) -> Self {
         let dt = dt.get();
         let n = sys.buffer().branches().len();
+        let capable = covers(sys, dt);
         let mut rinv = [0.0; MAX_BRANCHES];
         let mut dtc = [0.0; MAX_BRANCHES];
         let mut leak = [0.0; MAX_BRANCHES];
         let mut esr = [0.0; MAX_BRANCHES];
         let mut g = 0.0;
-        let mut capable = n <= MAX_BRANCHES && dt > 0.0;
         if capable {
             for (b, branch) in sys.buffer().branches().iter().enumerate() {
-                if !sys.buffer().branch_connected(b) {
-                    // Floating branches follow different (leak-only)
-                    // dynamics; leave them to the reference loop.
-                    capable = false;
-                    break;
-                }
                 let r = branch.esr().get();
                 rinv[b] = 1.0 / r;
                 dtc[b] = dt / branch.capacitance().get();
@@ -248,17 +282,6 @@ impl<'a> EventStepper<'a> {
                 g += 1.0 / r;
             }
         }
-        capable = capable
-            && match sys.harvester() {
-                // Constant-power charging is handled by the chunk loop's
-                // explicit i = p/v_prev recurrence (clamps guarded away);
-                // windowed sources flipping nearly every step would chunk
-                // badly, so they stay on the reference loop.
-                Harvester::Off | Harvester::ConstantCurrent(_) | Harvester::ConstantPower(_) => {
-                    true
-                }
-                Harvester::Windowed { period, .. } => period.get() >= 4.0 * dt,
-            };
         let v_high = sys.monitor().v_high().get();
         let v_off = sys.monitor().v_off().get();
         let min_input = sys.booster().min_input().get();
@@ -322,13 +345,10 @@ impl<'a> EventStepper<'a> {
         i_load: Amps,
         steps: usize,
         brk: BreakOn,
-        mut sink: Sink<'_>,
+        sink: Sink<'_>,
     ) -> SpanEnd {
-        let mut acc = Acc::new();
-        match self.run_span(i_load, steps, brk, &mut acc, &mut sink) {
-            None => SpanEnd::Completed,
-            Some((steps, out)) => SpanEnd::Broke { steps, out },
-        }
+        let plan = [Piece::Const { i: i_load, steps }];
+        self.run_plan(Cow::Borrowed(&plan), None, Amps::ZERO, brk, sink)
     }
 
     /// Runs the first `steps` grid steps of `profile` with `offset` added
@@ -345,12 +365,26 @@ impl<'a> EventStepper<'a> {
         steps: usize,
         offset: Amps,
         brk: BreakOn,
+        sink: Sink<'_>,
+    ) -> SpanEnd {
+        let plan = plan_pieces(profile, self.dt, steps, offset);
+        self.run_plan(Cow::Owned(plan), Some(profile.cursor()), offset, brk, sink)
+    }
+
+    /// Runs a piece plan to its end on a [`PlanRun`], every chunk inline.
+    fn run_plan(
+        &mut self,
+        plan: Cow<'_, [Piece]>,
+        cursor: Option<ProfileCursor<'_>>,
+        offset: Amps,
+        brk: BreakOn,
         mut sink: Sink<'_>,
     ) -> SpanEnd {
-        let mut acc = Acc::new();
-        match self.run_plan(profile, steps, offset, brk, &mut acc, &mut sink) {
+        let mut run = PlanRun::new(plan, cursor, offset, brk);
+        run.run_inline(self, &mut sink);
+        match run.broke {
             None => SpanEnd::Completed,
-            Some((steps, out)) => SpanEnd::Broke { steps, out },
+            Some(out) => SpanEnd::Broke { steps: run.k, out },
         }
     }
 
@@ -369,7 +403,6 @@ impl<'a> EventStepper<'a> {
         let start = self.sys.monitor().state();
         let reached = |sys: &PowerSystem| level.is_some_and(|l| sys.v_node() >= l);
         let mut acc = Acc::new();
-        let mut sink: Sink<'_> = None;
         let mut k = 0;
         while k < steps {
             let remaining = steps - k;
@@ -377,11 +410,14 @@ impl<'a> EventStepper<'a> {
             if let Some((charge, phase_steps)) =
                 self.span_action(Amps::ZERO, remaining, BreakOn::Never)
             {
-                if let Some(mut prep) = self.prepare_chunk(Amps::ZERO, charge) {
+                if let Some(mut chunk) = self.prepare_chunk(Amps::ZERO, charge, phase_steps) {
                     if let Some(level) = level {
-                        prep.params.hi = prep.params.hi.min(self.level_bound(&prep, level.get()));
+                        let bound = self.level_bound(&chunk.prep, level.get());
+                        chunk.prep.params.hi = chunk.prep.params.hi.min(bound);
                     }
-                    done = self.run_prepared(&prep, phase_steps, &mut acc, &mut sink);
+                    self.run_chunk(&mut chunk, &mut None);
+                    self.commit_chunk(&chunk, &mut acc);
+                    done = chunk.sums.done;
                 }
             }
             if done > 0 {
@@ -431,62 +467,11 @@ impl<'a> EventStepper<'a> {
         }
     }
 
-    /// Plan-driven profile execution: split the grid into constant-current
-    /// runs, chunk each, real-step the per-step pieces (ramps, terminal
-    /// boundary). Returns `Some((steps_executed, breaking_output))` if the
-    /// policy fired.
-    fn run_plan(
-        &mut self,
-        profile: &LoadProfile,
-        steps: usize,
-        offset: Amps,
-        brk: BreakOn,
-        acc: &mut Acc,
-        sink: &mut Sink<'_>,
-    ) -> Option<(usize, StepOutput)> {
-        let plan = plan_pieces(profile, self.dt, steps);
-        let mut cursor = profile.cursor();
-        let mut k_base = 0usize;
-        for piece in &plan {
-            match *piece {
-                Piece::Const { i, steps } => {
-                    let i = Amps::new(i.get() + offset.get());
-                    if let Some((done, out)) = self.run_span(i, steps, brk, acc, sink) {
-                        return Some((k_base + done, out));
-                    }
-                    k_base += steps;
-                }
-                Piece::Each { k0, steps } => {
-                    self.counters.real_steps += steps as u64;
-                    for k in k0..k0 + steps {
-                        let i_task = cursor.current_at(Seconds::new(k as f64 * self.dt));
-                        let i = Amps::new(i_task.get() + offset.get());
-                        let out = self.sys.step(i, Seconds::new(self.dt));
-                        acc.observe(&out);
-                        if let Some(f) = sink.as_mut() {
-                            f(out);
-                        }
-                        k_base += 1;
-                        if breaks(brk, i, &out) {
-                            return Some((k_base, out));
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-
     /// Decides how the next stretch of a constant-condition span advances:
     /// `Some((charge, max_steps))` when the chunk model may try (states the
     /// policy could break on within a step, imminent `V_high` crossings,
     /// and incapable plants all force `None` → real-step).
-    pub(crate) fn span_action(
-        &self,
-        i_load: Amps,
-        remaining: usize,
-        brk: BreakOn,
-    ) -> Option<(Charge, usize)> {
+    fn span_action(&self, i_load: Amps, remaining: usize, brk: BreakOn) -> Option<(Charge, usize)> {
         if !self.capable {
             return None;
         }
@@ -514,47 +499,6 @@ impl<'a> EventStepper<'a> {
         } else {
             None
         }
-    }
-
-    /// The span engine: chunk where quiet, real-step near events. Returns
-    /// `Some((steps_executed, breaking_output))` if the policy fired.
-    fn run_span(
-        &mut self,
-        i_load: Amps,
-        steps: usize,
-        brk: BreakOn,
-        acc: &mut Acc,
-        sink: &mut Sink<'_>,
-    ) -> Option<(usize, StepOutput)> {
-        let mut k = 0;
-        while k < steps {
-            let remaining = steps - k;
-            let mut done = 0;
-            if let Some((charge, phase_steps)) = self.span_action(i_load, remaining, brk) {
-                done = self.run_chunk(i_load, charge, phase_steps, acc, sink);
-            }
-            if done == 0 {
-                // Guard-band (or incapable-plant) block: literal steps with
-                // the exact fixed-step break semantics.
-                let block = remaining.min(REAL_BLOCK);
-                for i in 0..block {
-                    let out = self.sys.step(i_load, Seconds::new(self.dt));
-                    acc.observe(&out);
-                    if let Some(f) = sink.as_mut() {
-                        f(out);
-                    }
-                    k += 1;
-                    if breaks(brk, i_load, &out) {
-                        self.counters.real_steps += i as u64 + 1;
-                        return Some((k, out));
-                    }
-                }
-                self.counters.real_steps += block as u64;
-            } else {
-                k += done;
-            }
-        }
-        None
     }
 
     /// The charge mode for the system's *current* window phase and how
@@ -596,87 +540,58 @@ impl<'a> EventStepper<'a> {
         }
     }
 
-    /// One anchored-Taylor chunk: advance up to `max_steps` grid steps of
-    /// constant load `i_load` + the given charge mode, committing state,
-    /// clock, and ledger for exactly the steps that stayed inside every
-    /// guard bound. Returns the number of committed steps (0 ⇒ caller must
-    /// real-step).
-    fn run_chunk(
-        &mut self,
-        i_load: Amps,
-        charge: Charge,
-        max_steps: usize,
-        acc: &mut Acc,
-        sink: &mut Sink<'_>,
-    ) -> usize {
-        let Some(prep) = self.prepare_chunk(i_load, charge) else {
-            return 0;
+    /// Runs one anchored chunk inline (see [`run_chunks`]), feeding each
+    /// committed step's output to `sink`. Commits nothing.
+    fn run_chunk(&self, chunk: &mut Chunk, sink: &mut Sink<'_>) {
+        let Some(f) = sink.as_mut() else {
+            return run_chunks::<1>(std::slice::from_mut(chunk), None);
         };
-        self.run_prepared(&prep, max_steps, acc, sink)
-    }
-
-    /// Runs and commits an anchored chunk (see [`EventStepper::run_chunk`]).
-    fn run_prepared(
-        &mut self,
-        prep: &ChunkPrep,
-        max_steps: usize,
-        acc: &mut Acc,
-        sink: &mut Sink<'_>,
-    ) -> usize {
-        let mut y = prep.y;
-        let sums = if let Some(f) = sink.as_mut() {
-            let monitor = self.sys.monitor().state();
-            let dt = self.dt;
-            let delivering = prep.params.delivering;
-            let p_out = prep.params.p_out;
-            let v0 = prep.params.v0;
-            let (t_base, eta0, eslope) = (prep.t_base, prep.eta0, prep.eslope);
-            let mut observe = |k: usize, v: f64| {
-                let i_in = if delivering {
-                    p_out / ((eta0 + eslope * (v - v0)) * v)
-                } else {
-                    0.0
-                };
-                f(StepOutput {
-                    t: Seconds::new(t_base + (k + 1) as f64 * dt),
-                    v_node: Volts::new(v),
-                    i_in: Amps::new(i_in),
+        let monitor = self.sys.monitor().state();
+        let dt = self.dt;
+        let ChunkPrep {
+            t_base,
+            eta0,
+            eslope,
+            params:
+                ChunkParams {
                     delivering,
-                    collapsed: false,
-                    monitor,
-                });
+                    p_out,
+                    v0,
+                    ..
+                },
+            ..
+        } = chunk.prep;
+        let mut observe = |k: usize, v: f64| {
+            let i_in = if delivering {
+                p_out / ((eta0 + eslope * (v - v0)) * v)
+            } else {
+                0.0
             };
-            dispatch_chunk_loop(
-                self.n,
-                prep.is_cp,
-                &prep.params,
-                &mut y,
-                max_steps,
-                &mut observe,
-            )
-        } else if self.n == 1 && prep.is_cp {
-            crate::stride::chunk_cp1(&prep.params, &mut y, max_steps)
-        } else {
-            dispatch_chunk_loop(
-                self.n,
-                prep.is_cp,
-                &prep.params,
-                &mut y,
-                max_steps,
-                &mut |_, _| {},
-            )
+            f(StepOutput {
+                t: Seconds::new(t_base + (k + 1) as f64 * dt),
+                v_node: Volts::new(v),
+                i_in: Amps::new(i_in),
+                delivering,
+                collapsed: false,
+                monitor,
+            });
         };
-        self.commit_chunk(prep, &y, &sums, acc);
-        sums.done
+        run_chunks::<1>(std::slice::from_mut(chunk), Some(&mut observe));
     }
 
-    /// Anchors one chunk: resolves the charge mode, solves the node
+    /// Anchors one chunk of at most `max_steps` steps: resolves the charge
+    /// mode, solves the node
     /// exactly, expands `v(S)` to second order, and assembles the guard
     /// bounds. `None` on any model-scope guard (rail collapse, an η kink
     /// inside the validity window, fold proximity, the constant-power clamp
     /// range) — the caller must real-step.
     #[allow(clippy::too_many_lines)]
-    pub(crate) fn prepare_chunk(&self, i_load: Amps, charge: Charge) -> Option<ChunkPrep> {
+    pub(crate) fn prepare_chunk(
+        &self,
+        i_load: Amps,
+        charge: Charge,
+        max_steps: usize,
+    ) -> Option<Chunk> {
         let n = self.n;
         let enabled = self.sys.monitor().output_enabled();
         let delivering = enabled && i_load.get() > 0.0;
@@ -773,7 +688,7 @@ impl<'a> EventStepper<'a> {
         let t_base = self.sys.time().get();
         let inv_eta0 = 1.0 / eta0;
         let xs = eslope * inv_eta0;
-        Some(ChunkPrep {
+        let prep = ChunkPrep {
             params: ChunkParams {
                 v0,
                 w0,
@@ -793,24 +708,25 @@ impl<'a> EventStepper<'a> {
                 leak: self.leak,
             },
             y,
+            n,
             is_cp,
             ic,
             t_base,
             eta0,
             eslope,
+        };
+        Some(Chunk {
+            prep,
+            max_steps,
+            sums: ChunkSums::new(),
         })
     }
 
-    /// Commits a finished chunk loop: clock, last solved voltage, ledger
-    /// sums, branch charges, and the span accumulator. A zero-step result
-    /// commits nothing.
-    pub(crate) fn commit_chunk(
-        &mut self,
-        prep: &ChunkPrep,
-        y: &[f64; MAX_BRANCHES],
-        sums: &ChunkSums,
-        acc: &mut Acc,
-    ) {
+    /// Commits a chunk [`run_chunks`] has run: clock, last solved
+    /// voltage, ledger sums, branch charges, and the span accumulator. A
+    /// zero-step result commits nothing.
+    fn commit_chunk(&mut self, chunk: &Chunk, acc: &mut Acc) {
+        let Chunk { prep, sums, .. } = chunk;
         let ChunkSums {
             esr_sq,
             leak_sum,
@@ -862,7 +778,7 @@ impl<'a> EventStepper<'a> {
             .enumerate()
             .take(self.n)
         {
-            branch.set_v_internal(Volts::new(y[b]));
+            branch.set_v_internal(Volts::new(prep.y[b]));
         }
     }
 }
@@ -873,6 +789,8 @@ impl<'a> EventStepper<'a> {
 pub(crate) struct ChunkPrep {
     pub(crate) params: ChunkParams,
     pub(crate) y: [f64; MAX_BRANCHES],
+    /// The plant's branch count: with `is_cp`, the chunk's shape.
+    pub(crate) n: usize,
     pub(crate) is_cp: bool,
     pub(crate) ic: f64,
     pub(crate) t_base: f64,
@@ -936,104 +854,169 @@ impl ChunkSums {
     }
 }
 
-/// Monomorphises the inner loop on the branch count and charge mode so the
-/// per-branch loops unroll, every array index is bounds-check-free, and the
-/// constant-charge path carries no per-step division.
-fn dispatch_chunk_loop<F: FnMut(usize, f64)>(
-    n: usize,
-    is_cp: bool,
-    p: &ChunkParams,
-    y: &mut [f64; MAX_BRANCHES],
-    max_steps: usize,
-    observe: &mut F,
-) -> ChunkSums {
-    match (n, is_cp) {
-        (1, false) => chunk_loop::<1, false, F>(p, y, max_steps, observe),
-        (2, false) => chunk_loop::<2, false, F>(p, y, max_steps, observe),
-        (3, false) => chunk_loop::<3, false, F>(p, y, max_steps, observe),
-        (_, false) => chunk_loop::<4, false, F>(p, y, max_steps, observe),
-        (1, true) => chunk_loop::<1, true, F>(p, y, max_steps, observe),
-        (2, true) => chunk_loop::<2, true, F>(p, y, max_steps, observe),
-        (3, true) => chunk_loop::<3, true, F>(p, y, max_steps, observe),
-        (_, true) => chunk_loop::<4, true, F>(p, y, max_steps, observe),
+/// An anchored chunk on its way through the kernel: prepared, run by
+/// [`run_chunks`] (which advances `prep.y` and fills `sums`), committed.
+#[derive(Clone, Copy)]
+pub(crate) struct Chunk {
+    pub(crate) prep: ChunkPrep,
+    /// Most grid steps the chunk may cover.
+    pub(crate) max_steps: usize,
+    pub(crate) sums: ChunkSums,
+}
+
+impl Chunk {
+    /// The monomorphisation key: branch count and charge mode.
+    pub(crate) fn shape(&self) -> (usize, bool) {
+        (self.prep.n, self.prep.is_cp)
     }
 }
 
-/// The ~25-flop cheap step: fold the supply intercept, evaluate the
-/// anchored Taylor, advance the branch charges, accumulate ledger sums.
-/// Stops (without committing the offending step) at the first guard-bound
-/// exit or branch-charge floor.
-// Index loops over the first N slots of MAX_BRANCHES-sized arrays are
-// deliberate: N is the const-generic branch count, and the flagged
-// "copy" loop also folds the ledger sums.
-#[allow(clippy::needless_range_loop, clippy::manual_memcpy)]
-pub(crate) fn chunk_loop<const N: usize, const CP: bool, F: FnMut(usize, f64)>(
-    p: &ChunkParams,
-    y: &mut [f64; MAX_BRANCHES],
-    max_steps: usize,
-    observe: &mut F,
-) -> ChunkSums {
-    let mut s = ChunkSums::new();
-    // Per-branch affine step y' = a·y + bv·v + c (algebraically the
-    // reference integrator's y − (i + leak)·dt/C), plus its fold into the
-    // intercept offset: ds' = Σ aw·y + bw·v + cwm. Expressing the
-    // recurrence this way keeps the loop-carried critical path to three
-    // fused multiply-adds (v → ds → v); branch updates and ledger sums
-    // fall off the path. Rounding differs from the reference by ~1 ulp
-    // per step (~1e-13 V over the longest chunk), far inside the budget.
-    let mut a = [0.0; MAX_BRANCHES];
-    let mut bv = [0.0; MAX_BRANCHES];
-    let mut c = [0.0; MAX_BRANCHES];
-    let mut aw = [0.0; MAX_BRANCHES];
-    let mut bw = 0.0;
-    let mut cwm = -p.w0;
-    for b in 0..N {
-        bv[b] = p.rinv[b] * p.dtc[b];
-        a[b] = 1.0 - bv[b];
-        c[b] = -(p.leak[b] * p.dtc[b]);
-        aw[b] = p.rinv[b] * a[b];
-        bw += p.rinv[b] * bv[b];
-        cwm += p.rinv[b] * c[b];
+/// Runs same-shape chunks: the event kernel's one dispatch table. It
+/// monomorphises on the branch count and charge mode so the per-branch
+/// loops unroll, every array index is bounds-check-free, and the
+/// constant-charge path carries no per-step division. Single-branch
+/// constant-power chunks take the closed-form stride unless `observe`
+/// wants every step; `W > 1` runs the rest as one lock-step lanes pack.
+pub(crate) fn run_chunks<const W: usize>(
+    chunks: &mut [Chunk],
+    observe: Option<&mut dyn FnMut(usize, f64)>,
+) {
+    let Some(first) = chunks.first() else {
+        return;
+    };
+    match first.shape() {
+        (1, false) => run_shape::<1, false, W>(chunks, observe),
+        (2, false) => run_shape::<2, false, W>(chunks, observe),
+        (3, false) => run_shape::<3, false, W>(chunks, observe),
+        (_, false) => run_shape::<4, false, W>(chunks, observe),
+        (1, true) => run_shape::<1, true, W>(chunks, observe),
+        (2, true) => run_shape::<2, true, W>(chunks, observe),
+        (3, true) => run_shape::<3, true, W>(chunks, observe),
+        (_, true) => run_shape::<4, true, W>(chunks, observe),
     }
-    let g2 = 0.5 * p.gamma;
-    // The anchor's fold is reproduced bitwise, so ds starts at exactly 0.
-    let mut ds = {
+}
+
+fn run_shape<const N: usize, const CP: bool, const W: usize>(
+    chunks: &mut [Chunk],
+    observe: Option<&mut dyn FnMut(usize, f64)>,
+) {
+    debug_assert!(chunks.iter().all(|c| c.shape() == chunks[0].shape()));
+    if let Some(f) = observe {
+        for c in chunks {
+            c.sums = chunk_loop::<N, CP, _>(&c.prep.params, &mut c.prep.y, c.max_steps, f);
+        }
+    } else if N == 1 && CP {
+        for c in chunks {
+            c.sums = crate::stride::chunk_cp1(&c.prep.params, &mut c.prep.y, c.max_steps);
+        }
+    } else if W <= 1 {
+        for c in chunks {
+            c.sums =
+                chunk_loop::<N, CP, _>(&c.prep.params, &mut c.prep.y, c.max_steps, &mut |_, _| {});
+        }
+    } else {
+        crate::lanes::pack::<N, CP, W>(chunks);
+    }
+}
+
+/// One chunk's loop-invariant step coefficients and loop-carried state:
+/// the cheap step [`chunk_loop`] and the lanes pack both take.
+///
+/// Per-branch affine step y' = a·y + bv·v + c (algebraically the
+/// reference integrator's y − (i + leak)·dt/C), plus its fold into the
+/// intercept offset: ds' = Σ aw·y + bw·v + cwm. Expressing the recurrence
+/// this way keeps the loop-carried critical path to three fused
+/// multiply-adds (v → ds → v); branch updates and ledger sums fall off the
+/// path. Rounding differs from the reference by ~1 ulp per step (~1e-13 V
+/// over the longest chunk), far inside the budget.
+#[derive(Clone, Copy)]
+pub(crate) struct ChunkLoop<const N: usize> {
+    a: [f64; N],
+    bv: [f64; N],
+    c: [f64; N],
+    aw: [f64; N],
+    bw: f64,
+    cwm: f64,
+    g2: f64,
+    ds: f64,
+    /// Constant-power mode: the reference evaluates `i = p/v` at the
+    /// previous step's solved voltage, so the charge current is a second
+    /// loop-carried recurrence riding on v; `ds` keeps tracking only the
+    /// branch fold and the charge delta joins at evaluation time.
+    vprev: f64,
+    ic: f64,
+}
+
+// Index loops over the first N slots of MAX_BRANCHES-sized arrays are
+// deliberate: N is the const-generic branch count, and the flagged "copy"
+// loop also folds the ledger sums.
+#[allow(clippy::needless_range_loop, clippy::manual_memcpy)]
+impl<const N: usize> ChunkLoop<N> {
+    #[inline(always)]
+    pub(crate) fn new(p: &ChunkParams, y: &[f64; MAX_BRANCHES]) -> Self {
+        let mut l = Self {
+            a: [0.0; N],
+            bv: [0.0; N],
+            c: [0.0; N],
+            aw: [0.0; N],
+            bw: 0.0,
+            cwm: -p.w0,
+            g2: 0.5 * p.gamma,
+            ds: 0.0,
+            vprev: p.v_prev,
+            ic: p.ic0,
+        };
+        for b in 0..N {
+            l.bv[b] = p.rinv[b] * p.dtc[b];
+            l.a[b] = 1.0 - l.bv[b];
+            l.c[b] = -(p.leak[b] * p.dtc[b]);
+            l.aw[b] = p.rinv[b] * l.a[b];
+            l.bw += p.rinv[b] * l.bv[b];
+            l.cwm += p.rinv[b] * l.c[b];
+        }
+        // The anchor's fold is reproduced bitwise, so ds starts at exactly 0.
         let mut w = 0.0;
         for b in 0..N {
             w += y[b] * p.rinv[b];
         }
-        w - p.w0
-    };
-    // Constant-power mode: the reference evaluates `i = p/v` at the
-    // previous step's solved voltage, so the charge current is a second
-    // loop-carried recurrence riding on v; `ds` keeps tracking only the
-    // branch fold and the charge delta joins at evaluation time.
-    let mut vprev = p.v_prev;
-    let mut ic = p.ic0;
-    while s.done < max_steps {
+        l.ds = w - p.w0;
+        l
+    }
+
+    /// The ~25-flop cheap step: fold the supply intercept, evaluate the
+    /// anchored Taylor, advance the branch charges `y`, accumulate the
+    /// ledger sums. Returns the step's node voltage, or `None` — committing
+    /// nothing — at a guard-bound exit or branch-charge floor.
+    #[inline(always)]
+    pub(crate) fn step<const CP: bool>(
+        &mut self,
+        p: &ChunkParams,
+        y: &mut [f64; MAX_BRANCHES],
+        s: &mut ChunkSums,
+    ) -> Option<f64> {
         let dst = if CP {
-            ic = p.p_pow / vprev;
-            ds + (ic - p.ic0)
+            self.ic = p.p_pow / self.vprev;
+            self.ds + (self.ic - p.ic0)
         } else {
-            ds
+            self.ds
         };
-        let v = p.v0 + dst * (p.beta + g2 * dst);
+        let v = p.v0 + dst * (p.beta + self.g2 * dst);
         if !(v > p.lo && v < p.hi) {
-            break;
+            return None;
         }
-        let mut ynew = [0.0; MAX_BRANCHES];
+        let mut ynew = [0.0; N];
         let mut floored = false;
-        let mut t_off = cwm;
+        let mut t_off = self.cwm;
         for b in 0..N {
-            let next = a[b] * y[b] + (bv[b] * v + c[b]);
+            let next = self.a[b] * y[b] + (self.bv[b] * v + self.c[b]);
             // The reference integrator clamps a depleted branch at zero
             // charge; hand that step to it instead of committing.
             floored |= next < 0.0;
             ynew[b] = next;
-            t_off += aw[b] * y[b];
+            t_off += self.aw[b] * y[b];
         }
         if floored {
-            break;
+            return None;
         }
         for b in 0..N {
             let ib = (y[b] - v) * p.rinv[b];
@@ -1041,10 +1024,10 @@ pub(crate) fn chunk_loop<const N: usize, const CP: bool, F: FnMut(usize, f64)>(
             s.leak_sum[b] += y[b];
             y[b] = ynew[b];
         }
-        ds = bw * v + t_off;
+        self.ds = self.bw * v + t_off;
         if CP {
-            s.hsum += v * ic;
-            vprev = v;
+            s.hsum += v * self.ic;
+            self.vprev = v;
         } else {
             s.hsum += v;
         }
@@ -1058,16 +1041,34 @@ pub(crate) fn chunk_loop<const N: usize, const CP: bool, F: FnMut(usize, f64)>(
             s.v_min = v;
             s.k_min = s.done;
         }
-        observe(s.done, v);
         s.done += 1;
         s.v_last = v;
+        Some(v)
+    }
+}
+
+/// The scalar chunk loop: up to `max_steps` [`ChunkLoop::step`]s,
+/// reporting each committed step's index and node voltage to `observe`.
+pub(crate) fn chunk_loop<const N: usize, const CP: bool, F: FnMut(usize, f64) + ?Sized>(
+    p: &ChunkParams,
+    y: &mut [f64; MAX_BRANCHES],
+    max_steps: usize,
+    observe: &mut F,
+) -> ChunkSums {
+    let mut s = ChunkSums::new();
+    let mut l = ChunkLoop::<N>::new(p, y);
+    while s.done < max_steps {
+        let Some(v) = l.step::<CP>(p, y, &mut s) else {
+            break;
+        };
+        observe(s.done - 1, v);
     }
     s
 }
 
 /// One run of equal-condition grid steps from the profile's piece plan.
 #[derive(Clone, Copy)]
-pub(crate) enum Piece {
+enum Piece {
     /// `steps` steps at one constant requested current.
     Const {
         /// The requested current of every step in the run.
@@ -1087,8 +1088,10 @@ pub(crate) enum Piece {
 
 /// Splits the fixed-step grid `k ∈ [0, total)` into constant-current runs,
 /// reproducing the fixed-step loop's exact per-step current choice
-/// `profile.current_at(k·dt)` (boundary semantics included).
-pub(crate) fn plan_pieces(profile: &LoadProfile, dt: f64, total: usize) -> Vec<Piece> {
+/// `profile.current_at(k·dt) + offset` (boundary semantics included).
+/// `Piece::Const` currents carry the offset; `Piece::Each` steps add it
+/// when they are evaluated.
+fn plan_pieces(profile: &LoadProfile, dt: f64, total: usize, offset: Amps) -> Vec<Piece> {
     // Rebuild the cumulative segment end times with the builder's own fold
     // so boundary comparisons see bit-identical values.
     let segments = profile.segments();
@@ -1168,81 +1171,253 @@ pub(crate) fn plan_pieces(profile: &LoadProfile, dt: f64, total: usize) -> Vec<P
             steps: total - k,
         });
     }
+    // Runs are merged on the profile's own currents; the offset joins
+    // after, exactly as the per-step idiom adds it.
+    for piece in &mut pieces {
+        if let Piece::Const { i, .. } = piece {
+            *i = Amps::new(i.get() + offset.get());
+        }
+    }
     pieces
 }
 
-/// Event-kernel implementation of [`PowerSystem::run_profile`]. Returns
-/// `None` when the configuration or plant is out of scope (full-trace
-/// recording, constant-power harvesters, exotic buffers), in which case the
-/// caller runs the fixed-step loop.
-pub(crate) fn try_run_profile(
+/// The event kernel's one plan runner: a piece plan in progress on an
+/// [`EventStepper`]. It steps `Piece::Each` steps and guard-band
+/// [`REAL_BLOCK`]s itself and stops at each anchored chunk, which its
+/// caller runs — inline ([`PlanRun::run_inline`]) or parked and packed with
+/// other runs' chunks ([`crate::Lanes`]) — and hands back to
+/// [`PlanRun::commit`]. Every call takes the same stepper.
+struct PlanRun<'p> {
+    plan: Cow<'p, [Piece]>,
+    /// Evaluates `Piece::Each` steps; plans without them carry none.
+    cursor: Option<ProfileCursor<'p>>,
+    /// Added to each `Piece::Each` step's current.
+    offset: Amps,
+    brk: BreakOn,
+    /// The current piece and the steps done inside it.
+    piece: usize,
+    off: usize,
+    /// Steps done over the whole plan.
+    k: usize,
+    acc: Acc,
+    /// Output of the step the break policy fired on.
+    broke: Option<StepOutput>,
+    /// The last chunk committed nothing: real-step one block before the
+    /// next anchor.
+    force_real: bool,
+}
+
+impl<'p> PlanRun<'p> {
+    fn new(
+        plan: Cow<'p, [Piece]>,
+        cursor: Option<ProfileCursor<'p>>,
+        offset: Amps,
+        brk: BreakOn,
+    ) -> Self {
+        Self {
+            plan,
+            cursor,
+            offset,
+            brk,
+            piece: 0,
+            off: 0,
+            k: 0,
+            acc: Acc::new(),
+            broke: None,
+            force_real: false,
+        }
+    }
+
+    /// Advances literal steps until a chunk is anchored (returned, for the
+    /// caller to run and [`PlanRun::commit`]) or the plan completes or
+    /// breaks (`None`, and every later call answers `None` too).
+    fn next_chunk(&mut self, st: &mut EventStepper<'_>, sink: &mut Sink<'_>) -> Option<Chunk> {
+        while self.broke.is_none() {
+            match *self.plan.get(self.piece)? {
+                Piece::Each { k0, steps } if self.off < steps => {
+                    let t = Seconds::new((k0 + self.off) as f64 * st.dt);
+                    let cursor = self.cursor.as_mut().expect("per-step pieces have a cursor");
+                    let i = Amps::new(cursor.current_at(t).get() + self.offset.get());
+                    self.real_step(st, i, sink);
+                }
+                Piece::Const { i, steps } if self.off < steps => {
+                    let remaining = steps - self.off;
+                    let chunk = self.anchor(st, i, remaining);
+                    if chunk.is_some() {
+                        return chunk;
+                    }
+                    // Guard-band (or incapable-plant) block: literal steps
+                    // with the exact fixed-step break semantics.
+                    for _ in 0..remaining.min(REAL_BLOCK) {
+                        if self.real_step(st, i, sink) {
+                            break;
+                        }
+                    }
+                }
+                _ => {
+                    self.piece += 1;
+                    self.off = 0;
+                }
+            }
+        }
+        None
+    }
+
+    /// Anchors a chunk of constant load `i` over at most `remaining`
+    /// steps, unless the span must real-step.
+    fn anchor(&mut self, st: &EventStepper<'_>, i: Amps, remaining: usize) -> Option<Chunk> {
+        if std::mem::take(&mut self.force_real) {
+            return None;
+        }
+        let (charge, max_steps) = st.span_action(i, remaining, self.brk)?;
+        st.prepare_chunk(i, charge, max_steps)
+    }
+
+    /// One literal [`PowerSystem::step`], observed and break-checked
+    /// after it executes. True when the policy fired.
+    fn real_step(&mut self, st: &mut EventStepper<'_>, i: Amps, sink: &mut Sink<'_>) -> bool {
+        let out = st.sys.step(i, Seconds::new(st.dt));
+        st.counters.real_steps += 1;
+        self.acc.observe(&out);
+        if let Some(f) = sink.as_mut() {
+            f(out);
+        }
+        self.off += 1;
+        self.k += 1;
+        if breaks(self.brk, i, &out) {
+            self.broke = Some(out);
+        }
+        self.broke.is_some()
+    }
+
+    /// Commits a chunk from [`PlanRun::next_chunk`] once it has run. A
+    /// chunk that committed nothing forces one real-step block.
+    fn commit(&mut self, st: &mut EventStepper<'_>, chunk: &Chunk) {
+        st.commit_chunk(chunk, &mut self.acc);
+        self.off += chunk.sums.done;
+        self.k += chunk.sums.done;
+        self.force_real = chunk.sums.done == 0;
+    }
+
+    /// Runs the plan to its end, every chunk inline.
+    fn run_inline(&mut self, st: &mut EventStepper<'_>, sink: &mut Sink<'_>) {
+        while let Some(mut chunk) = self.next_chunk(st, sink) {
+            st.run_chunk(&mut chunk, sink);
+            self.commit(st, &chunk);
+        }
+    }
+}
+
+/// A [`PowerSystem::run_profile`] call on the event kernel: the plan
+/// runner under the profile policy with the stepper it owns, plus what its
+/// outcome is measured from.
+pub(crate) struct ProfileRun<'a, 'p> {
+    st: EventStepper<'a>,
+    plan: PlanRun<'p>,
+    cfg: RunConfig,
+    ledger_before: EnergyLedger,
+    v_start: Volts,
+    t0: Seconds,
+}
+
+impl<'a, 'p> ProfileRun<'a, 'p> {
+    /// Starts `sys.run_profile(profile, cfg)`; `cfg` must be
+    /// [`in_scope`].
+    pub(crate) fn new(sys: &'a mut PowerSystem, profile: &'p LoadProfile, cfg: RunConfig) -> Self {
+        let ledger_before = sys.ledger();
+        let v_start = sys.v_node();
+        let t0 = sys.time();
+        let total = profile.duration().steps(cfg.dt).max(1);
+        let st = EventStepper::new(sys, cfg.dt);
+        let plan = plan_pieces(profile, st.dt, total, Amps::ZERO);
+        Self {
+            st,
+            plan: PlanRun::new(
+                Cow::Owned(plan),
+                Some(profile.cursor()),
+                Amps::ZERO,
+                BreakOn::MonitorRecharging,
+            ),
+            cfg,
+            ledger_before,
+            v_start,
+            t0,
+        }
+    }
+
+    /// See [`PlanRun::next_chunk`].
+    pub(crate) fn next_chunk(&mut self) -> Option<Chunk> {
+        self.plan.next_chunk(&mut self.st, &mut None)
+    }
+
+    /// See [`PlanRun::commit`].
+    pub(crate) fn commit(&mut self, chunk: &Chunk) {
+        self.plan.commit(&mut self.st, chunk);
+    }
+
+    pub(crate) fn counters(&self) -> KernelCounters {
+        self.st.counters
+    }
+
+    /// Settles a completed run and assembles its [`RunOutcome`].
+    pub(crate) fn finish(self) -> RunOutcome {
+        let Self {
+            st,
+            plan,
+            cfg,
+            ledger_before,
+            v_start,
+            t0,
+        } = self;
+        let mut acc = plan.acc;
+        let brownout = plan.broke.map(|out| Seconds::new(out.t.get() - t0.get()));
+        if !acc.seen {
+            acc.v_min = v_start.get();
+            acc.t_min = 0.0;
+        }
+        let sys = st.sys;
+        let v_final = if brownout.is_none() {
+            sys.settle(cfg)
+        } else {
+            sys.v_node()
+        };
+        let trace = if cfg.summary_only {
+            VoltageTrace::min_only()
+        } else {
+            // Full-trace mode only reaches here with stride = MAX, whose
+            // observable state is "no samples retained, minimum tracked":
+            // reproduce it with a single push of the minimum.
+            let mut tr = VoltageTrace::new(usize::MAX);
+            tr.push(VoltageSample {
+                t: Seconds::new(acc.t_min),
+                v_node: Volts::new(acc.v_min),
+                i_in: Amps::ZERO,
+            });
+            tr
+        };
+        RunOutcome {
+            trace,
+            v_start,
+            v_min: Volts::new(acc.v_min),
+            t_min: Seconds::new(acc.t_min),
+            v_final,
+            brownout,
+            collapsed: acc.collapsed,
+            ledger: sys.ledger().delta(&ledger_before),
+        }
+    }
+}
+
+/// Event-kernel implementation of [`PowerSystem::run_profile`] for an
+/// [`in_scope`] configuration.
+pub(crate) fn run_profile(
     sys: &mut PowerSystem,
     profile: &LoadProfile,
     cfg: RunConfig,
-) -> Option<RunOutcome> {
-    if !(cfg.summary_only || cfg.record_stride == usize::MAX) {
-        // Decimated trace recording is the fixed-step loop's job.
-        return None;
-    }
-    let ledger_before = sys.ledger();
-    let v_start = sys.v_node();
-    let t0 = sys.time();
-    let total = profile.duration().steps(cfg.dt).max(1);
-
-    let mut stepper = EventStepper::new(sys, cfg.dt);
-    if !stepper.capable() {
-        return None;
-    }
-
-    let mut acc = Acc::new();
-    let mut sink: Sink<'_> = None;
-    let brownout = stepper
-        .run_plan(
-            profile,
-            total,
-            Amps::ZERO,
-            BreakOn::MonitorRecharging,
-            &mut acc,
-            &mut sink,
-        )
-        .map(|(_, out)| Seconds::new(out.t.get() - t0.get()));
-
-    if !acc.seen {
-        acc.v_min = v_start.get();
-        acc.t_min = 0.0;
-    }
-
-    let v_final = if brownout.is_none() {
-        sys.settle(cfg)
-    } else {
-        sys.v_node()
-    };
-
-    let trace = if cfg.summary_only {
-        VoltageTrace::min_only()
-    } else {
-        // Full-trace mode only reaches here with stride = MAX, whose
-        // observable state is "no samples retained, minimum tracked":
-        // reproduce it with a single push of the minimum.
-        let mut tr = VoltageTrace::new(usize::MAX);
-        tr.push(VoltageSample {
-            t: Seconds::new(acc.t_min),
-            v_node: Volts::new(acc.v_min),
-            i_in: Amps::ZERO,
-        });
-        tr
-    };
-
-    Some(RunOutcome {
-        trace,
-        v_start,
-        v_min: Volts::new(acc.v_min),
-        t_min: Seconds::new(acc.t_min),
-        v_final,
-        brownout,
-        collapsed: acc.collapsed,
-        ledger: sys.ledger().delta(&ledger_before),
-    })
+) -> RunOutcome {
+    let mut run = ProfileRun::new(sys, profile, cfg);
+    run.plan.run_inline(&mut run.st, &mut None);
+    run.finish()
 }
 
 /// Event-kernel implementation of [`PowerSystem::settle`]: the same 10 ms
@@ -1410,9 +1585,9 @@ mod tests {
         let profile = LoadProfile::constant("p", ma(10.0), Seconds::from_milli(5.0));
         let cfg = probe_cfg().with_kernel(Kernel::Event);
         // A windowed source flipping nearly every grid step is out of the
-        // chunk model's scope: the event entry point must decline rather
-        // than approximate.
-        assert!(try_run_profile(&mut sys.clone(), &profile, cfg).is_none());
+        // chunk model's scope: the event kernel must decline rather than
+        // approximate.
+        assert!(!in_scope(&sys, &cfg));
         // And the public API silently produces the fixed-step result.
         let a = sys.clone().run_profile(&profile, cfg);
         let b = sys.run_profile(&profile, cfg.with_kernel(Kernel::FixedStep));

@@ -1,32 +1,28 @@
-//! Batched SoA lane execution: one kernel invocation advances many
+//! Batched lane execution: one kernel invocation advances many
 //! independent simulations.
 //!
 //! The event kernel's cheap loop is latency-bound — its loop-carried
 //! `v → ds → v` chain leaves most of the core idle between dependent
 //! multiply-adds. Running `W` independent lanes in lock-step interleaves
 //! `W` such chains, so the same functional units retire several lanes'
-//! steps per chain latency. The layout is structure-of-arrays with the
-//! lane index innermost (`a[branch][lane]`), which also lets the compiler
-//! vectorise across lanes.
+//! steps per chain latency.
 //!
 //! Correctness contract: a batch run is **bitwise identical** to running
-//! [`PowerSystem::run_profile`] on each lane serially. Each lane performs
-//! exactly the scalar kernel's arithmetic in exactly its order — the pack
-//! loop only interleaves *between* lanes — and every orchestration
-//! decision (piece plan, chunk anchors, guard-band real-step blocks,
-//! settle) reuses the scalar kernel's own code paths. Lanes the event
-//! kernel does not cover (fixed-step configs, full-trace recording,
-//! exotic plants) silently take the scalar path inside the batch call.
+//! [`PowerSystem::run_profile`] on each lane serially, because a lane *is*
+//! that serial run. Each lane is the event kernel's own plan runner
+//! ([`ProfileRun`]); it stops at every anchored chunk, the chunk is
+//! parked, same-shape parked chunks go through the kernel's one dispatch
+//! table ([`run_chunks`]) in `W`-wide packs, and each result is committed
+//! back to its runner. The pack below only interleaves *between* lanes;
+//! each lane takes the scalar kernel's own step ([`ChunkLoop::step`]).
+//! Lanes the event kernel does not cover (fixed-step configs, full-trace
+//! recording, exotic plants) take the scalar path inside the batch call.
 
 use culpeo_loadgen::LoadProfile;
-use culpeo_units::{Amps, Seconds, Volts};
 
-use crate::engine::{Kernel, RunConfig};
-use crate::event::{
-    breaks, plan_pieces, Acc, BreakOn, ChunkPrep, ChunkSums, EventStepper, KernelCounters, Piece,
-    MAX_BRANCHES, REAL_BLOCK,
-};
-use crate::{EnergyLedger, PowerSystem, RunOutcome, StepOutput, VoltageSample, VoltageTrace};
+use crate::engine::RunConfig;
+use crate::event::{in_scope, run_chunks, Chunk, ChunkLoop, KernelCounters, ProfileRun};
+use crate::{PowerSystem, RunOutcome};
 
 /// W-wide batched lane executor (see the module docs).
 ///
@@ -65,89 +61,48 @@ impl<const W: usize> Lanes<W> {
         let mut outcomes: Vec<Option<RunOutcome>> = Vec::with_capacity(systems.len());
         outcomes.resize_with(systems.len(), || None);
 
-        let mut lanes: Vec<Lane<'_, '_>> = Vec::new();
-        let mut counters = KernelCounters::default();
+        let mut lanes: Vec<(usize, ProfileRun<'_, '_>)> = Vec::new();
         for (i, sys) in systems.iter_mut().enumerate() {
-            let cfg = cfgs[i];
-            let eligible = cfg.kernel == Kernel::Event
-                && (cfg.summary_only || cfg.record_stride == usize::MAX)
-                && EventStepper::new(sys, cfg.dt).capable();
-            if eligible {
-                lanes.push(Lane::new(i, sys, profiles[i], cfg));
+            if in_scope(sys, &cfgs[i]) {
+                lanes.push((i, ProfileRun::new(sys, profiles[i], cfgs[i])));
             } else {
                 // Out of the batch kernel's scope: the scalar entry point
                 // (which picks event or fixed itself) is the reference.
-                outcomes[i] = Some(sys.run_profile(profiles[i], cfg));
+                outcomes[i] = Some(sys.run_profile(profiles[i], cfgs[i]));
             }
         }
 
-        // Round loop: every live lane advances (scalar) to its next
-        // prepared chunk, then same-shape chunks run in lock-step packs.
+        // Round loop: every live lane's runner advances to its next
+        // anchored chunk, which parks; same-shape parked chunks run in
+        // lock-step packs and are committed back to their runners.
         loop {
-            let mut pending: Vec<usize> = Vec::new();
-            for (j, lane) in lanes.iter_mut().enumerate() {
-                if !lane.done && lane.pending.is_none() {
-                    lane.advance();
-                }
-                if lane.pending.is_some() {
-                    pending.push(j);
-                }
-            }
-            if pending.is_empty() {
+            let mut parked: Vec<(usize, Chunk)> = lanes
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(j, (_, run))| Some((j, run.next_chunk()?)))
+                .collect();
+            if parked.is_empty() {
                 break;
             }
-            // Group by (branch count, charge mode) — the pack loop's
-            // monomorphisation axes. Sort is stable on lane order, so the
-            // grouping is deterministic (not that it matters: lanes are
-            // arithmetically independent).
-            pending.sort_by_key(|&j| (lanes[j].n, lanes[j].pending.as_ref().unwrap().prep.is_cp));
-            let mut start = 0;
-            while start < pending.len() {
-                let j0 = pending[start];
-                let key = (lanes[j0].n, lanes[j0].pending.as_ref().unwrap().prep.is_cp);
-                let mut end = start + 1;
-                while end < pending.len() {
-                    let j = pending[end];
-                    if (lanes[j].n, lanes[j].pending.as_ref().unwrap().prep.is_cp) != key {
-                        break;
-                    }
-                    end += 1;
+            // Group by shape, the dispatch table's key. The sort is stable
+            // on lane order, so the grouping is deterministic (not that it
+            // matters: lanes are arithmetically independent).
+            parked.sort_by_key(|(_, chunk)| chunk.shape());
+            let mut chunks: Vec<Chunk> = parked.iter().map(|&(_, chunk)| chunk).collect();
+            for group in chunks.chunk_by_mut(|a, b| a.shape() == b.shape()) {
+                for pack in group.chunks_mut(W.max(1)) {
+                    run_chunks::<W>(pack, None);
                 }
-                for pack in pending[start..end].chunks(W.max(1)) {
-                    let mut jobs: Vec<PackJob> = pack
-                        .iter()
-                        .map(|&j| {
-                            let p = lanes[j].pending.take().expect("pending chunk");
-                            PackJob {
-                                y: p.prep.y,
-                                prep: p.prep,
-                                max_steps: p.max_steps,
-                                sums: ChunkSums::new(),
-                            }
-                        })
-                        .collect();
-                    run_pack::<W>(key.0, key.1, &mut jobs);
-                    for (job, &j) in jobs.iter().zip(pack) {
-                        let lane = &mut lanes[j];
-                        let mut stepper = EventStepper::new(lane.sys, lane.cfg.dt);
-                        stepper.commit_chunk(&job.prep, &job.y, &job.sums, &mut lane.acc);
-                        counters.add(&stepper.counters());
-                        lane.off += job.sums.done;
-                        if job.sums.done == 0 {
-                            // Exactly the scalar kernel's rule: a chunk
-                            // that commits nothing forces one real block.
-                            lane.force_real = true;
-                        }
-                    }
-                }
-                start = end;
+            }
+            for (&(j, _), chunk) in parked.iter().zip(&chunks) {
+                lanes[j].1.commit(chunk);
             }
         }
 
-        for lane in lanes {
-            counters.real_steps += lane.real_steps;
-            let (i, outcome) = lane.finish();
-            outcomes[i] = Some(outcome);
+        let mut counters = KernelCounters::default();
+        for (i, run) in lanes {
+            counters.add(&run.counters());
+            outcomes[i] = Some(run.finish());
         }
         let outcomes = outcomes
             .into_iter()
@@ -157,302 +112,24 @@ impl<const W: usize> Lanes<W> {
     }
 }
 
-/// A prepared chunk parked until its pack runs.
-struct PendingChunk {
-    prep: ChunkPrep,
-    max_steps: usize,
-}
-
-/// One lane of a pack: the anchored chunk, its working branch charges, and
-/// the accumulators the pack loop fills.
-struct PackJob {
-    prep: ChunkPrep,
-    max_steps: usize,
-    y: [f64; MAX_BRANCHES],
-    sums: ChunkSums,
-}
-
-/// One in-flight profile run: the scalar kernel's `run_plan` state machine
-/// unrolled so it can pause at every prepared chunk.
-struct Lane<'a, 'p> {
-    idx: usize,
-    sys: &'a mut PowerSystem,
-    profile: &'p LoadProfile,
-    cfg: RunConfig,
-    n: usize,
-    plan: Vec<Piece>,
-    piece: usize,
-    /// Steps completed inside the current piece.
-    off: usize,
-    acc: Acc,
-    broke: Option<StepOutput>,
-    force_real: bool,
-    /// Literal steps this lane took outside chunks.
-    real_steps: u64,
-    pending: Option<PendingChunk>,
-    done: bool,
-    ledger_before: EnergyLedger,
-    v_start: Volts,
-    t0: Seconds,
-}
-
-impl<'a, 'p> Lane<'a, 'p> {
-    fn new(idx: usize, sys: &'a mut PowerSystem, profile: &'p LoadProfile, cfg: RunConfig) -> Self {
-        let ledger_before = sys.ledger();
-        let v_start = sys.v_node();
-        let t0 = sys.time();
-        let total = profile.duration().steps(cfg.dt).max(1);
-        let plan = plan_pieces(profile, cfg.dt.get(), total);
-        let n = sys.buffer().branches().len();
-        Self {
-            idx,
-            sys,
-            profile,
-            cfg,
-            n,
-            plan,
-            piece: 0,
-            off: 0,
-            acc: Acc::new(),
-            broke: None,
-            force_real: false,
-            real_steps: 0,
-            pending: None,
-            done: false,
-            ledger_before,
-            v_start,
-            t0,
-        }
-    }
-
-    /// Advances scalar work — per-step pieces, guard-band real blocks —
-    /// until the lane either parks a prepared chunk in `pending` or
-    /// finishes its plan (completion or policy break).
-    fn advance(&mut self) {
-        let dt = self.cfg.dt;
-        while !self.done && self.pending.is_none() {
-            let Some(&piece) = self.plan.get(self.piece) else {
-                self.done = true;
-                return;
-            };
-            match piece {
-                Piece::Each { k0, steps } => {
-                    // A fresh cursor answers any monotone query sequence
-                    // identically to the plan-long cursor the scalar
-                    // kernel carries.
-                    let mut cursor = self.profile.cursor();
-                    let start = self.off;
-                    for k in (k0 + self.off)..(k0 + steps) {
-                        let i = cursor.current_at(Seconds::new(k as f64 * dt.get()));
-                        let out = self.sys.step(i, dt);
-                        self.acc.observe(&out);
-                        self.off += 1;
-                        if breaks(BreakOn::MonitorRecharging, i, &out) {
-                            self.real_steps += (self.off - start) as u64;
-                            self.broke = Some(out);
-                            self.done = true;
-                            return;
-                        }
-                    }
-                    self.real_steps += (self.off - start) as u64;
-                    self.piece += 1;
-                    self.off = 0;
-                }
-                Piece::Const { i, steps } => {
-                    if self.off >= steps {
-                        self.piece += 1;
-                        self.off = 0;
-                        continue;
-                    }
-                    let remaining = steps - self.off;
-                    let stepper = EventStepper::new(self.sys, dt);
-                    let action = if self.force_real {
-                        None
-                    } else {
-                        stepper.span_action(i, remaining, BreakOn::MonitorRecharging)
-                    };
-                    self.force_real = false;
-                    let prepared = action.and_then(|(charge, phase_steps)| {
-                        stepper
-                            .prepare_chunk(i, charge)
-                            .map(|prep| (prep, phase_steps))
-                    });
-                    if let Some((prep, max_steps)) = prepared {
-                        self.pending = Some(PendingChunk { prep, max_steps });
-                        return;
-                    }
-                    // Guard-band block: literal steps with the exact
-                    // fixed-step break semantics.
-                    let block = remaining.min(REAL_BLOCK);
-                    for j in 0..block {
-                        let out = self.sys.step(i, dt);
-                        self.acc.observe(&out);
-                        self.off += 1;
-                        if breaks(BreakOn::MonitorRecharging, i, &out) {
-                            self.real_steps += j as u64 + 1;
-                            self.broke = Some(out);
-                            self.done = true;
-                            return;
-                        }
-                    }
-                    self.real_steps += block as u64;
-                }
-            }
-        }
-    }
-
-    /// Assembles the lane's [`RunOutcome`] exactly as the scalar event
-    /// entry point does.
-    fn finish(mut self) -> (usize, RunOutcome) {
-        let cfg = self.cfg;
-        let brownout = self
-            .broke
-            .as_ref()
-            .map(|out| Seconds::new(out.t.get() - self.t0.get()));
-        if !self.acc.seen {
-            self.acc.v_min = self.v_start.get();
-            self.acc.t_min = 0.0;
-        }
-        let v_final = if brownout.is_none() {
-            self.sys.settle(cfg)
-        } else {
-            self.sys.v_node()
-        };
-        let trace = if cfg.summary_only {
-            VoltageTrace::min_only()
-        } else {
-            let mut tr = VoltageTrace::new(usize::MAX);
-            tr.push(VoltageSample {
-                t: Seconds::new(self.acc.t_min),
-                v_node: Volts::new(self.acc.v_min),
-                i_in: Amps::ZERO,
-            });
-            tr
-        };
-        let outcome = RunOutcome {
-            trace,
-            v_start: self.v_start,
-            v_min: Volts::new(self.acc.v_min),
-            t_min: Seconds::new(self.acc.t_min),
-            v_final,
-            brownout,
-            collapsed: self.acc.collapsed,
-            ledger: self.sys.ledger().delta(&self.ledger_before),
-        };
-        (self.idx, outcome)
-    }
-}
-
-/// Monomorphises the pack loop on branch count and charge mode, mirroring
-/// the scalar kernel's dispatch: single-branch constant-power chunks take
-/// the scalar stride, one lane at a time.
-fn run_pack<const W: usize>(n: usize, is_cp: bool, jobs: &mut [PackJob]) {
-    debug_assert!(jobs.len() <= W.max(1));
-    match (n, is_cp) {
-        (1, true) => {
-            for job in jobs {
-                job.sums = crate::stride::chunk_cp1(&job.prep.params, &mut job.y, job.max_steps);
-            }
-        }
-        (1, false) => lanes_pack::<1, false, W>(jobs),
-        (2, false) => lanes_pack::<2, false, W>(jobs),
-        (3, false) => lanes_pack::<3, false, W>(jobs),
-        (_, false) => lanes_pack::<4, false, W>(jobs),
-        (2, true) => lanes_pack::<2, true, W>(jobs),
-        (3, true) => lanes_pack::<3, true, W>(jobs),
-        (_, true) => lanes_pack::<4, true, W>(jobs),
-    }
-}
-
-/// The W-wide lock-step chunk loop. Per lane this is the scalar
-/// `chunk_loop` body, expression for expression, so each lane's result is
-/// bitwise the scalar kernel's; the lane dimension only adds independent
-/// work between the steps of each lane's dependency chain.
-#[allow(clippy::too_many_lines)]
-fn lanes_pack<const N: usize, const CP: bool, const W: usize>(jobs: &mut [PackJob]) {
-    // SoA mirrors of the per-lane parameters, lane index innermost.
-    let mut v0 = [0.0; W];
-    let mut beta = [0.0; W];
-    let mut g2 = [0.0; W];
-    let mut lo = [0.0; W];
-    let mut hi = [0.0; W];
-    let mut bw = [0.0; W];
-    let mut cwm = [0.0; W];
-    let mut ds = [0.0; W];
-    let mut dlv = [false; W];
-    let mut p_out = [0.0; W];
-    let mut inv_eta0 = [0.0; W];
-    let mut xs = [0.0; W];
-    let mut p_pow = [0.0; W];
-    let mut ic0 = [0.0; W];
-    let mut vprev = [0.0; W];
-    let mut ic = [0.0; W];
-    let mut max = [0usize; W];
-    let mut active = [false; W];
-    let mut a = [[0.0; W]; N];
-    let mut bv = [[0.0; W]; N];
-    let mut c = [[0.0; W]; N];
-    let mut aw = [[0.0; W]; N];
-    let mut rinv = [[0.0; W]; N];
-    let mut y = [[0.0; W]; N];
-    let mut esr_sq = [[0.0; W]; N];
-    let mut leak_sum = [[0.0; W]; N];
-    let mut hsum = [0.0; W];
-    let mut bsum = [0.0; W];
-    let mut v_last = [0.0; W];
-    let mut v_min = [f64::MAX; W];
-    let mut k_min = [0usize; W];
-    let mut done = [0usize; W];
-
-    for (l, job) in jobs.iter().enumerate() {
-        let p = &job.prep.params;
-        v0[l] = p.v0;
-        beta[l] = p.beta;
-        g2[l] = 0.5 * p.gamma;
-        lo[l] = p.lo;
-        hi[l] = p.hi;
-        dlv[l] = p.delivering;
-        p_out[l] = p.p_out;
-        inv_eta0[l] = p.inv_eta0;
-        xs[l] = p.xs;
-        p_pow[l] = p.p_pow;
-        ic0[l] = p.ic0;
-        ic[l] = p.ic0;
-        vprev[l] = p.v_prev;
-        max[l] = job.max_steps;
-        let mut cw = -p.w0;
-        let mut bwl = 0.0;
-        for b in 0..N {
-            let bvv = p.rinv[b] * p.dtc[b];
-            let av = 1.0 - bvv;
-            a[b][l] = av;
-            bv[b][l] = bvv;
-            c[b][l] = -(p.leak[b] * p.dtc[b]);
-            aw[b][l] = p.rinv[b] * av;
-            bwl += p.rinv[b] * bvv;
-            cw += p.rinv[b] * c[b][l];
-            rinv[b][l] = p.rinv[b];
-            y[b][l] = job.y[b];
-        }
-        bw[l] = bwl;
-        cwm[l] = cw;
-        // The anchor's fold is reproduced bitwise, so ds starts exactly 0.
-        let mut w = 0.0;
-        for b in 0..N {
-            w += job.y[b] * p.rinv[b];
-        }
-        ds[l] = w - p.w0;
-        active[l] = job.max_steps > 0;
-    }
-
-    // Live-lane compaction: `order[..live]` holds the lanes still
-    // stepping; a finished lane swaps to the tail, so the hot loop never
-    // revisits dead slots. Lanes are arithmetically independent, so the
-    // visit order within a row cannot affect any lane's values.
+/// The W-wide lock-step loop over one pack of same-shape chunks: each row
+/// gives every live lane one [`ChunkLoop::step`], so `W` independent
+/// dependency chains share the core. A lane that exits its bounds or
+/// reaches its step cap swaps out of `order[..live]`, so the hot loop
+/// never revisits dead slots. Lanes are arithmetically independent, so
+/// the visit order within a row cannot affect any lane's values.
+pub(crate) fn pack<const N: usize, const CP: bool, const W: usize>(chunks: &mut [Chunk]) {
+    debug_assert!((1..=W).contains(&chunks.len()));
+    let last = chunks.len() - 1;
+    // Slots past the pack's end copy its last lane and are never stepped.
+    let mut loops: [ChunkLoop<N>; W] = std::array::from_fn(|l| {
+        let prep = &chunks[l.min(last)].prep;
+        ChunkLoop::new(&prep.params, &prep.y)
+    });
     let mut order = [0usize; W];
     let mut live = 0;
-    for (l, &on) in active.iter().enumerate() {
-        if on {
+    for (l, chunk) in chunks.iter().enumerate() {
+        if chunk.max_steps > 0 {
             order[live] = l;
             live += 1;
         }
@@ -461,83 +138,31 @@ fn lanes_pack<const N: usize, const CP: bool, const W: usize>(jobs: &mut [PackJo
         let mut j = 0;
         while j < live {
             let l = order[j];
-            let dst = if CP {
-                ic[l] = p_pow[l] / vprev[l];
-                ds[l] + (ic[l] - ic0[l])
+            let Chunk {
+                prep,
+                max_steps,
+                sums,
+            } = &mut chunks[l];
+            if loops[l]
+                .step::<CP>(&prep.params, &mut prep.y, sums)
+                .is_some()
+                && sums.done < *max_steps
+            {
+                j += 1;
             } else {
-                ds[l]
-            };
-            let v = v0[l] + dst * (beta[l] + g2[l] * dst);
-            if !(v > lo[l] && v < hi[l]) {
                 live -= 1;
                 order.swap(j, live);
-                continue;
             }
-            let mut ynew = [0.0; N];
-            let mut floored = false;
-            let mut t_off = cwm[l];
-            for b in 0..N {
-                let next = a[b][l] * y[b][l] + (bv[b][l] * v + c[b][l]);
-                floored |= next < 0.0;
-                ynew[b] = next;
-                t_off += aw[b][l] * y[b][l];
-            }
-            if floored {
-                live -= 1;
-                order.swap(j, live);
-                continue;
-            }
-            for b in 0..N {
-                let ib = (y[b][l] - v) * rinv[b][l];
-                esr_sq[b][l] += ib * ib;
-                leak_sum[b][l] += y[b][l];
-                y[b][l] = ynew[b];
-            }
-            ds[l] = bw[l] * v + t_off;
-            if CP {
-                hsum[l] += v * ic[l];
-                vprev[l] = v;
-            } else {
-                hsum[l] += v;
-            }
-            if dlv[l] {
-                let x = xs[l] * (v - v0[l]);
-                bsum[l] += (p_out[l] * (1.0 - x + x * x) * inv_eta0[l] - p_out[l]).max(0.0);
-            }
-            if v < v_min[l] {
-                v_min[l] = v;
-                k_min[l] = done[l];
-            }
-            done[l] += 1;
-            v_last[l] = v;
-            if done[l] >= max[l] {
-                live -= 1;
-                order.swap(j, live);
-                continue;
-            }
-            j += 1;
         }
-    }
-
-    for (l, job) in jobs.iter_mut().enumerate() {
-        for b in 0..N {
-            job.y[b] = y[b][l];
-            job.sums.esr_sq[b] = esr_sq[b][l];
-            job.sums.leak_sum[b] = leak_sum[b][l];
-        }
-        job.sums.hsum = hsum[l];
-        job.sums.bsum = bsum[l];
-        job.sums.v_last = v_last[l];
-        job.sums.v_min = v_min[l];
-        job.sums.k_min = k_min[l];
-        job.sums.done = done[l];
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Harvester;
+    use crate::engine::Kernel;
+    use crate::{BreakOn, CapacitorBranch, EventStepper, Harvester};
+    use culpeo_units::{Amps, Farads, Ohms, Seconds, Volts};
 
     fn ma(v: f64) -> Amps {
         Amps::from_milli(v)
@@ -722,6 +347,168 @@ mod tests {
         let profiles: Vec<&LoadProfile> = vec![&heavy; systems.len()];
         let cfgs = vec![probe_cfg(); systems.len()];
         assert_batch_matches_serial(&systems, &profiles, &cfgs);
+    }
+
+    fn charged(mut sys: PowerSystem, v: f64) -> PowerSystem {
+        sys.set_buffer_voltage(Volts::new(v));
+        sys.force_output_enabled();
+        sys
+    }
+
+    /// A slow windowed source: 2 ms period at 10 µs steps, so every
+    /// 30 ms `Const` piece spans a dozen phase flips.
+    fn windowed(phase_ms: f64, duty: f64) -> Harvester {
+        Harvester::Windowed {
+            i: ma(6.0),
+            period: Seconds::from_milli(2.0),
+            duty,
+            phase: Seconds::from_milli(phase_ms),
+        }
+    }
+
+    /// The two-branch ladder plus one or two slower branches.
+    fn multi_branch(branches: usize, h: Harvester) -> PowerSystem {
+        let mut b = PowerSystem::builder().two_branch_bank().harvester(h);
+        for k in 2..branches {
+            b = b.extra_branch(CapacitorBranch::new(
+                Farads::from_milli(10.0 * k as f64),
+                Ohms::new(2.0 + k as f64),
+                Amps::new(5e-9),
+                Volts::ZERO,
+            ));
+        }
+        b.build()
+    }
+
+    #[test]
+    fn windowed_harvester_flips_inside_const_pieces_bitwise() {
+        let load = LoadProfile::builder("windowed")
+            .hold(ma(20.0), Seconds::from_milli(30.0))
+            .hold(ma(3.0), Seconds::from_milli(30.0))
+            .build();
+        let harvesters = [windowed(0.0, 0.5), windowed(0.37, 0.25), windowed(1.1, 0.8)];
+        let mut systems = Vec::new();
+        for (k, &h) in harvesters.iter().enumerate() {
+            for v in [2.35, 1.85] {
+                let sys = PowerSystem::builder()
+                    .two_branch_bank()
+                    .harvester(h)
+                    .build();
+                systems.push(charged(sys, v + 0.01 * k as f64));
+            }
+        }
+        let profiles: Vec<&LoadProfile> = vec![&load; systems.len()];
+        let cfgs = vec![probe_cfg(); systems.len()];
+        assert!(systems.iter().all(|s| in_scope(s, &cfgs[0])));
+        assert_batch_matches_serial(&systems, &profiles, &cfgs);
+    }
+
+    #[test]
+    fn three_and_four_branch_banks_bitwise() {
+        let load = LoadProfile::builder("multi")
+            .hold(ma(25.0), Seconds::from_milli(20.0))
+            .hold(ma(2.0), Seconds::from_milli(20.0))
+            .build();
+        let mut systems = Vec::new();
+        for branches in [3, 4] {
+            for h in [
+                Harvester::Off,
+                Harvester::ConstantCurrent(ma(4.0)),
+                Harvester::weak_solar(),
+            ] {
+                for v in [2.3, 1.9] {
+                    systems.push(charged(multi_branch(branches, h), v));
+                }
+            }
+        }
+        let profiles: Vec<&LoadProfile> = vec![&load; systems.len()];
+        let cfgs = vec![probe_cfg(); systems.len()];
+        assert_batch_matches_serial(&systems, &profiles, &cfgs);
+        let (_, counters) = Lanes::<8>::run_counted(&mut systems.clone(), &profiles, &cfgs);
+        assert!(counters.chunks > 0, "no lane chunked: {counters:?}");
+    }
+
+    /// A ramp (`Piece::Each` steps) under constant-power charging, from
+    /// start voltages that brown out part-way up the ramp and from ones
+    /// that finish it.
+    fn ramp_lanes() -> (Vec<PowerSystem>, LoadProfile) {
+        let ramp = LoadProfile::builder("ramp")
+            .hold(ma(5.0), Seconds::from_milli(5.0))
+            .ramp(ma(5.0), ma(60.0), Seconds::from_milli(20.0))
+            .hold(ma(1.0), Seconds::from_milli(5.0))
+            .build();
+        let systems = [1.75, 1.8, 1.85, 2.4]
+            .iter()
+            .map(|&v| {
+                let sys = PowerSystem::builder()
+                    .two_branch_bank()
+                    .harvester(Harvester::weak_solar())
+                    .build();
+                charged(sys, v)
+            })
+            .collect();
+        (systems, ramp)
+    }
+
+    #[test]
+    fn constant_power_ramp_browning_out_mid_ramp_is_bitwise() {
+        let (systems, ramp) = ramp_lanes();
+        let profiles: Vec<&LoadProfile> = vec![&ramp; systems.len()];
+        let cfgs = vec![probe_cfg(); systems.len()];
+        let mid_ramp = systems
+            .iter()
+            .map(|s| s.clone().run_profile(&ramp, probe_cfg()).brownout)
+            .filter(|b| b.is_some_and(|t| t.get() > 5e-3 && t.get() < 25e-3))
+            .count();
+        assert!(mid_ramp > 0, "no lane browned out on the ramp");
+        assert_batch_matches_serial(&systems, &profiles, &cfgs);
+    }
+
+    #[test]
+    fn counters_match_across_widths_and_the_scalar_runner() {
+        let (mut systems, ramp) = ramp_lanes();
+        let held = LoadProfile::constant("held", ma(20.0), Seconds::from_milli(30.0));
+        let mut profiles: Vec<&LoadProfile> = vec![&ramp; systems.len()];
+        for (branches, h) in [
+            (2, windowed(0.37, 0.25)),
+            (3, Harvester::weak_solar()),
+            (4, Harvester::ConstantCurrent(ma(4.0))),
+        ] {
+            systems.push(charged(multi_branch(branches, h), 2.2));
+            profiles.push(&held);
+        }
+        let cfgs = vec![probe_cfg(); systems.len()];
+        let mut scalar = KernelCounters::default();
+        for ((sys, profile), cfg) in systems.iter().zip(&profiles).zip(&cfgs) {
+            let mut sys = sys.clone();
+            let mut stepper = EventStepper::new(&mut sys, cfg.dt);
+            let steps = profile.duration().steps(cfg.dt).max(1);
+            let _ = stepper.run_profile_steps(
+                profile,
+                steps,
+                Amps::ZERO,
+                BreakOn::MonitorRecharging,
+                None,
+            );
+            scalar.add(&stepper.counters());
+        }
+        assert!(scalar.chunks > 0 && scalar.real_steps > 0, "{scalar:?}");
+        let counted =
+            |run: fn(&mut [PowerSystem], &[&LoadProfile], &[RunConfig]) -> KernelCounters| {
+                run(&mut systems.clone(), &profiles, &cfgs)
+            };
+        assert_eq!(
+            counted(|s, p, c| Lanes::<1>::run_counted(s, p, c).1),
+            scalar
+        );
+        assert_eq!(
+            counted(|s, p, c| Lanes::<3>::run_counted(s, p, c).1),
+            scalar
+        );
+        assert_eq!(
+            counted(|s, p, c| Lanes::<8>::run_counted(s, p, c).1),
+            scalar
+        );
     }
 
     #[test]

@@ -575,7 +575,13 @@ mod tests {
             sys.step(Amps::from_milli(prior_ma), dt);
         }
         let stepper = EventStepper::new(&mut sys, dt);
-        let prep = stepper.prepare_chunk(Amps::from_milli(load_ma), Charge::Power(p_mw * 1e-3))?;
+        let prep = stepper
+            .prepare_chunk(
+                Amps::from_milli(load_ma),
+                Charge::Power(p_mw * 1e-3),
+                max_steps,
+            )?
+            .prep;
         let mut ys = prep.y;
         let stride = chunk_cp1(&prep.params, &mut ys, max_steps);
         let mut yl = prep.y;
@@ -701,8 +707,9 @@ mod tests {
             sys.step(Amps::from_milli(load), dt);
             let stepper = EventStepper::new(&mut sys, dt);
             let prep = stepper
-                .prepare_chunk(Amps::from_milli(load), Charge::Power(plant.2 * 1e-3))
-                .expect("chunk anchors");
+                .prepare_chunk(Amps::from_milli(load), Charge::Power(plant.2 * 1e-3), 0)
+                .expect("chunk anchors")
+                .prep;
             let reps = 20_000;
             let time = |f: &dyn Fn(&mut [f64; MAX_BRANCHES]) -> ChunkSums| {
                 let t0 = std::time::Instant::now();

@@ -1374,7 +1374,6 @@ fn route<'a>(shared: &'a Shared, req: &Request) -> Routed<'a> {
         ("GET", "/v1/fleet") => finish(&shared.metrics.fleet, Ok(shared.fleet.summary())),
         ("GET", "/v1/fleet/events") => {
             let body = shared.fleet.drain_events_ndjson();
-            shared.metrics.fleet_events.record(0, false);
             Routed {
                 content_type: "application/x-ndjson",
                 enveloped: false,

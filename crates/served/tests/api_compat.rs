@@ -250,6 +250,21 @@ fn fleet_surface_registers_reports_and_streams() {
         assert!(ev.get("v_final_v").is_some());
     }
 
+    // One drain is one request in its metrics row.
+    let (_, m) = roundtrip_raw(addr, "GET", "/v1/metrics", "");
+    let doc = serde_json::parse_value_str(&assert_envelope(&m)).unwrap();
+    let rows = doc.get("endpoints").and_then(serde::Value::as_array);
+    let events = rows
+        .into_iter()
+        .flatten()
+        .find(|r| r.get("path").and_then(serde::Value::as_str) == Some("/v1/fleet/events"))
+        .unwrap_or_else(|| panic!("no events row: {m}"));
+    assert_eq!(
+        events.get("requests").and_then(serde::Value::as_f64),
+        Some(1.0),
+        "{m}"
+    );
+
     server.shutdown_handle().request();
     let _ = server.join();
 }
