@@ -17,8 +17,8 @@
 //!   the energy account ("Catnap-Measured"), a 2 ms delay lets some of
 //!   it rebound away ("Catnap-Slow").
 
-use culpeo_loadgen::CurrentTrace;
-use culpeo_units::{Joules, Seconds, Volts};
+use culpeo_loadgen::{CurrentTrace, LoadProfile};
+use culpeo_units::{Hertz, Joules, Seconds, Volts};
 
 use crate::PowerSystemModel;
 
@@ -43,7 +43,19 @@ pub fn vsafe_from_buffer_energy(buffer_energy: Joules, model: &PowerSystemModel)
 /// energy accuracy captures the ESR drop.
 #[must_use]
 pub fn energy_direct(trace: &CurrentTrace, model: &PowerSystemModel) -> Volts {
-    let e_out = trace.output_energy(model.v_out());
+    energy_direct_from_output(trace.output_energy(model.v_out()), model)
+}
+
+/// [`energy_direct`] on an analytic load profiled at the paper's 125 kHz
+/// rate — bitwise the same as on `profile.sample(125 kHz)`, whose charge
+/// the runs sum sample by sample, without storing the samples.
+#[must_use]
+pub fn energy_direct_for_profile(profile: &LoadProfile, model: &PowerSystemModel) -> Volts {
+    let runs = profile.runs(Hertz::new(culpeo_loadgen::PG_SAMPLE_RATE_HZ));
+    energy_direct_from_output(runs.output_energy(model.v_out()), model)
+}
+
+fn energy_direct_from_output(e_out: Joules, model: &PowerSystemModel) -> Volts {
     let e_buffer = Joules::new(e_out.get() / model.efficiency_at(model.v_off()));
     vsafe_from_buffer_energy(e_buffer, model)
 }

@@ -185,7 +185,8 @@ impl FleetState {
             return Err(ApiError::bad_request("v_step_mv must be finite and > 0"));
         }
 
-        let static_vsafe = pg::compute_vsafe(&trace, &model).v_safe.get();
+        let (est, pulse) = pg::compute_vsafe_and_pulse(&trace, &model);
+        let static_vsafe = est.v_safe.get();
         let verdict = match &req.plan {
             Some(plan) => {
                 handle::verify(&VerifyRequest {
@@ -197,7 +198,7 @@ impl FleetState {
             }
             None => "unverified".to_string(),
         };
-        let esr = match trace.dominant_pulse_width() {
+        let esr = match pulse {
             Some(w) => model.esr_at(w.frequency()),
             None => model.esr_at(culpeo_units::Hertz::new(FALLBACK_ESR_FREQ_HZ)),
         };
