@@ -8,6 +8,8 @@
 //! re-exported here unchanged. [`AnalysisInput`] bundles everything one
 //! battery run sees.
 
+use std::sync::OnceLock;
+
 use culpeo_loadgen::io::RawTraceFile;
 use culpeo_loadgen::CurrentTrace;
 use culpeo_units::{Amps, Seconds};
@@ -89,19 +91,48 @@ pub struct AnalysisInput<'a> {
     pub plan: Option<&'a PlanSpec>,
     /// Locus prefix for plan diagnostics.
     pub plan_locus: &'a str,
+    /// Each trace's dominant pulse width, filled on first use.
+    pulse_widths: OnceLock<Vec<Option<Seconds>>>,
 }
 
 impl<'a> AnalysisInput<'a> {
-    /// A spec-only input.
+    /// An input over a spec, its traces and an optional plan.
     #[must_use]
-    pub fn spec_only(spec: &'a SystemSpec, spec_locus: &'a str) -> Self {
+    pub fn new(
+        spec: &'a SystemSpec,
+        spec_locus: &'a str,
+        traces: &'a [TraceInput],
+        plan: Option<&'a PlanSpec>,
+        plan_locus: &'a str,
+    ) -> Self {
         Self {
             spec,
             spec_locus,
-            traces: &[],
-            plan: None,
-            plan_locus: "plan",
+            traces,
+            plan,
+            plan_locus,
+            pulse_widths: OnceLock::new(),
         }
+    }
+
+    /// A spec-only input.
+    #[must_use]
+    pub fn spec_only(spec: &'a SystemSpec, spec_locus: &'a str) -> Self {
+        Self::new(spec, spec_locus, &[], None, "plan")
+    }
+
+    /// The [dominant pulse width](CurrentTrace::dominant_pulse_width) of
+    /// `traces[i]`, or `None` when that trace is not clean or holds no
+    /// pulse. The first call measures every trace once; the lints keyed
+    /// on it (C011, C013) share the result.
+    #[must_use]
+    pub fn pulse_width(&self, i: usize) -> Option<Seconds> {
+        self.pulse_widths.get_or_init(|| {
+            self.traces
+                .iter()
+                .map(|t| t.to_current_trace()?.dominant_pulse_width())
+                .collect()
+        })[i]
     }
 }
 

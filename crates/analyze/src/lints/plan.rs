@@ -220,13 +220,7 @@ mod tests {
 
     fn run_plan(plan: &PlanSpec) -> Report {
         let spec = SystemSpec::capybara();
-        let input = AnalysisInput {
-            spec: &spec,
-            spec_locus: "spec.json",
-            traces: &[],
-            plan: Some(plan),
-            plan_locus: "plan.json",
-        };
+        let input = AnalysisInput::new(&spec, "spec.json", &[], Some(plan), "plan.json");
         let mut report = Report::new();
         plan_shape(&input, &mut report);
         vsafe_registered(&input, &mut report);

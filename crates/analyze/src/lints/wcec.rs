@@ -161,13 +161,7 @@ mod tests {
 
     fn run(plan: &PlanSpec) -> Report {
         let spec = SystemSpec::capybara();
-        let input = AnalysisInput {
-            spec: &spec,
-            spec_locus: "spec.json",
-            traces: &[],
-            plan: Some(plan),
-            plan_locus: "plan.json",
-        };
+        let input = AnalysisInput::new(&spec, "spec.json", &[], Some(plan), "plan.json");
         let mut report = Report::new();
         certificate_drift(&input, &mut report);
         report

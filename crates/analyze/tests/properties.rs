@@ -128,13 +128,7 @@ proptest! {
             timestamps: None,
         };
         let traces = vec![trace];
-        let input = AnalysisInput {
-            spec: &spec,
-            spec_locus: "capybara",
-            traces: &traces,
-            plan: None,
-            plan_locus: "",
-        };
+        let input = AnalysisInput::new(&spec, "capybara", &traces, None, "");
         let report = Registry::default_battery().run(&input);
         // Verdict is unconstrained; totality is the property.
         let _ = report.render_json();

@@ -96,13 +96,13 @@ pub fn lint(
         }
     };
 
-    let input = AnalysisInput {
-        spec: &spec,
-        spec_locus: spec_path,
-        traces: &traces,
-        plan: plan.as_ref(),
-        plan_locus: plan_path.unwrap_or("plan"),
-    };
+    let input = AnalysisInput::new(
+        &spec,
+        spec_path,
+        &traces,
+        plan.as_ref(),
+        plan_path.unwrap_or("plan"),
+    );
     let report = Registry::default_battery().run(&input);
     let rendered = match format {
         LintFormat::Json => {

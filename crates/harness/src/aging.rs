@@ -83,7 +83,7 @@ pub fn run(sweep: Sweep) -> (Vec<AgingRow>, Telemetry) {
             &load(),
             &Profiler::UArch(UArchProfiler::default()),
         )
-        .map(|run| runtime::compute_vsafe(&run.observation, &fresh_model).v_safe)
+        .map(|obs| runtime::compute_vsafe(&obs, &fresh_model).v_safe)
         .unwrap_or(v_high);
 
         let margin = Volts::from_milli(19.0); // the paper's ±20 mV failure band

@@ -111,6 +111,7 @@ pub fn true_vsafe_batch(
     let reference = make_system();
     let v_off = reference.monitor().v_off();
     let v_high = reference.monitor().v_high();
+    let fingerprints: Vec<u64> = loads.iter().map(load_fingerprint).collect();
     let mut searches: Vec<Search> = loads
         .iter()
         .map(|_| Search {
@@ -122,7 +123,7 @@ pub fn true_vsafe_batch(
 
     // Round zero: feasibility at V_high, for every load at once.
     let queries: Vec<(usize, Volts)> = (0..loads.len()).map(|i| (i, v_high)).collect();
-    let verdicts = probe_round(plant_key, make_system, loads, &queries);
+    let verdicts = probe_round(plant_key, make_system, loads, &fingerprints, &queries);
     for (&(i, _), verdict) in queries.iter().zip(verdicts) {
         if !verdict {
             searches[i].result = Some(None);
@@ -146,7 +147,7 @@ pub fn true_vsafe_batch(
         if queries.is_empty() {
             break;
         }
-        let verdicts = probe_round(plant_key, make_system, loads, &queries);
+        let verdicts = probe_round(plant_key, make_system, loads, &fingerprints, &queries);
         for (&(i, mid), verdict) in queries.iter().zip(verdicts) {
             let s = &mut searches[i];
             if verdict {
@@ -164,18 +165,22 @@ pub fn true_vsafe_batch(
 
 /// Answers one round of probes: cache hits are read back, misses simulate
 /// in 8-wide lanes packs, and every fresh verdict is cached.
+/// `fingerprints[i]` is `loads[i]`'s [`load_fingerprint`].
 fn probe_round(
     plant_key: &str,
     make_system: &(dyn Fn() -> PowerSystem + Sync),
     loads: &[LoadProfile],
+    fingerprints: &[u64],
     queries: &[(usize, Volts)],
 ) -> Vec<bool> {
+    let key = |(i, v): (usize, Volts)| (fingerprints[i], v.get().to_bits());
     let mut verdicts = vec![false; queries.len()];
     let mut misses: Vec<usize> = Vec::new();
     {
         let cache = truth_cache().lock().unwrap();
-        for (q, &(i, v)) in queries.iter().enumerate() {
-            match cache.get(&truth_key(plant_key, &loads[i], v)) {
+        let plant = cache.get(plant_key);
+        for (q, &query) in queries.iter().enumerate() {
+            match plant.and_then(|p| p.get(&key(query))) {
                 Some(&verdict) => verdicts[q] = verdict,
                 None => misses.push(q),
             }
@@ -198,11 +203,11 @@ fn probe_round(
     }
     let outcomes = Lanes::<8>::run(&mut systems, &profiles, &cfgs);
     let mut cache = truth_cache().lock().unwrap();
+    let plant = cache.entry(plant_key.to_owned()).or_default();
     for (&q, outcome) in misses.iter().zip(outcomes) {
-        let (i, v) = queries[q];
         let verdict = outcome.completed();
         verdicts[q] = verdict;
-        cache.insert(truth_key(plant_key, &loads[i], v), verdict);
+        plant.insert(key(queries[q]), verdict);
     }
     verdicts
 }
@@ -214,20 +219,12 @@ pub fn clear_truth_cache() {
     truth_cache().lock().unwrap().clear();
 }
 
-type TruthKey = (String, u64, u64);
+/// Probe verdicts by plant key, then by the load's fingerprint and the
+/// start voltage's bits.
+type TruthCache = HashMap<String, HashMap<(u64, u64), bool>>;
 
-/// A probe verdict's cache key: the plant, the load's fingerprint, and
-/// the start voltage's bits.
-fn truth_key(plant_key: &str, load: &LoadProfile, v_start: Volts) -> TruthKey {
-    (
-        plant_key.to_owned(),
-        load_fingerprint(load),
-        v_start.get().to_bits(),
-    )
-}
-
-fn truth_cache() -> &'static Mutex<HashMap<TruthKey, bool>> {
-    static CACHE: OnceLock<Mutex<HashMap<TruthKey, bool>>> = OnceLock::new();
+fn truth_cache() -> &'static Mutex<TruthCache> {
+    static CACHE: OnceLock<Mutex<TruthCache>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 

@@ -65,7 +65,7 @@ pub fn run(sweep: Sweep) -> (Vec<HarvestRow>, Telemetry) {
             &load(),
             &Profiler::UArch(UArchProfiler::default()),
         )
-        .map(|run| runtime::compute_vsafe(&run.observation, &model).v_safe)
+        .map(|obs| runtime::compute_vsafe(&obs, &model).v_safe)
         .unwrap_or_else(|| model.v_high())
     };
 

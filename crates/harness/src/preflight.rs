@@ -50,13 +50,7 @@ pub fn reference_report() -> Report {
     let spec = SystemSpec::capybara();
     let trace = BleRadio::default().profile().sample(Hertz::new(125_000.0));
     let traces = vec![TraceInput::from_trace("reference ble trace", &trace)];
-    let input = AnalysisInput {
-        spec: &spec,
-        spec_locus: "reference capybara spec",
-        traces: &traces,
-        plan: None,
-        plan_locus: "",
-    };
+    let input = AnalysisInput::new(&spec, "reference capybara spec", &traces, None, "");
     let mut report = report_for(&input);
 
     // Dynamic leg: a short audited run of the reference plant. The

@@ -98,13 +98,13 @@ impl VsafeSystem {
             VsafeSystem::CulpeoPg => Some(pg::compute_vsafe_for_profile(load, model).v_safe),
             VsafeSystem::CulpeoIsr => {
                 let mut sys = fresh_full(make_system);
-                let run = profile_task(&mut sys, load, &Profiler::Isr(IsrProfiler::msp430()))?;
-                Some(runtime::compute_vsafe(&run.observation, model).v_safe)
+                let obs = profile_task(&mut sys, load, &Profiler::Isr(IsrProfiler::msp430()))?;
+                Some(runtime::compute_vsafe(&obs, model).v_safe)
             }
             VsafeSystem::CulpeoUArch => {
                 let mut sys = fresh_full(make_system);
-                let run = profile_task(&mut sys, load, &Profiler::UArch(UArchProfiler::default()))?;
-                Some(runtime::compute_vsafe(&run.observation, model).v_safe)
+                let obs = profile_task(&mut sys, load, &Profiler::UArch(UArchProfiler::default()))?;
+                Some(runtime::compute_vsafe(&obs, model).v_safe)
             }
         }
     }

@@ -151,7 +151,9 @@ impl Acc {
     }
 }
 
-type Sink<'s> = Option<&'s mut dyn FnMut(StepOutput)>;
+/// The per-step observer: the node voltage of each committed step, in
+/// order. Only the device profilers attach one.
+type Sink<'s> = Option<&'s mut dyn FnMut(f64)>;
 
 /// The charge source seen by one chunk: either a constant current for the
 /// whole span (Off, constant-current, one phase of a windowed source) or
@@ -335,7 +337,7 @@ impl<'a> EventStepper<'a> {
     }
 
     /// Runs `steps` steps of a constant requested load, breaking per the
-    /// policy, optionally observing every step through `sink`.
+    /// policy, optionally feeding every step's node voltage to `sink`.
     ///
     /// Semantically equivalent (to ~1e-12 V unloaded, ~1e-11 V loaded) to
     /// calling [`PowerSystem::step`] `steps` times with the same break
@@ -353,8 +355,8 @@ impl<'a> EventStepper<'a> {
 
     /// Runs the first `steps` grid steps of `profile` with `offset` added
     /// to every step's requested current (a profiler's own draw, charged
-    /// to the task), breaking per the policy, optionally observing every
-    /// step through `sink`.
+    /// to the task), breaking per the policy, optionally feeding every
+    /// step's node voltage to `sink`.
     ///
     /// Reproduces the fixed-step idiom
     /// `sys.step(profile.current_at(k·dt) + offset, dt)` step for step,
@@ -415,7 +417,7 @@ impl<'a> EventStepper<'a> {
                         let bound = self.level_bound(&chunk.prep, level.get());
                         chunk.prep.params.hi = chunk.prep.params.hi.min(bound);
                     }
-                    self.run_chunk(&mut chunk, &mut None);
+                    run_chunks::<1>(std::slice::from_mut(&mut chunk), None);
                     self.commit_chunk(&chunk, &mut acc);
                     done = chunk.sums.done;
                 }
@@ -538,45 +540,6 @@ impl<'a> EventStepper<'a> {
                 (Charge::Const(if on { i.get() } else { 0.0 }), l)
             }
         }
-    }
-
-    /// Runs one anchored chunk inline (see [`run_chunks`]), feeding each
-    /// committed step's output to `sink`. Commits nothing.
-    fn run_chunk(&self, chunk: &mut Chunk, sink: &mut Sink<'_>) {
-        let Some(f) = sink.as_mut() else {
-            return run_chunks::<1>(std::slice::from_mut(chunk), None);
-        };
-        let monitor = self.sys.monitor().state();
-        let dt = self.dt;
-        let ChunkPrep {
-            t_base,
-            eta0,
-            eslope,
-            params:
-                ChunkParams {
-                    delivering,
-                    p_out,
-                    v0,
-                    ..
-                },
-            ..
-        } = chunk.prep;
-        let mut observe = |k: usize, v: f64| {
-            let i_in = if delivering {
-                p_out / ((eta0 + eslope * (v - v0)) * v)
-            } else {
-                0.0
-            };
-            f(StepOutput {
-                t: Seconds::new(t_base + (k + 1) as f64 * dt),
-                v_node: Volts::new(v),
-                i_in: Amps::new(i_in),
-                delivering,
-                collapsed: false,
-                monitor,
-            });
-        };
-        run_chunks::<1>(std::slice::from_mut(chunk), Some(&mut observe));
     }
 
     /// Anchors one chunk of at most `max_steps` steps: resolves the charge
@@ -712,8 +675,6 @@ impl<'a> EventStepper<'a> {
             is_cp,
             ic,
             t_base,
-            eta0,
-            eslope,
         };
         Some(Chunk {
             prep,
@@ -794,8 +755,6 @@ pub(crate) struct ChunkPrep {
     pub(crate) is_cp: bool,
     pub(crate) ic: f64,
     pub(crate) t_base: f64,
-    pub(crate) eta0: f64,
-    pub(crate) eslope: f64,
 }
 
 /// Loop-invariant parameters of one chunk's inner loop.
@@ -879,7 +838,7 @@ impl Chunk {
 /// wants every step; `W > 1` runs the rest as one lock-step lanes pack.
 pub(crate) fn run_chunks<const W: usize>(
     chunks: &mut [Chunk],
-    observe: Option<&mut dyn FnMut(usize, f64)>,
+    observe: Option<&mut dyn FnMut(f64)>,
 ) {
     let Some(first) = chunks.first() else {
         return;
@@ -898,7 +857,7 @@ pub(crate) fn run_chunks<const W: usize>(
 
 fn run_shape<const N: usize, const CP: bool, const W: usize>(
     chunks: &mut [Chunk],
-    observe: Option<&mut dyn FnMut(usize, f64)>,
+    observe: Option<&mut dyn FnMut(f64)>,
 ) {
     debug_assert!(chunks.iter().all(|c| c.shape() == chunks[0].shape()));
     if let Some(f) = observe {
@@ -912,7 +871,7 @@ fn run_shape<const N: usize, const CP: bool, const W: usize>(
     } else if W <= 1 {
         for c in chunks {
             c.sums =
-                chunk_loop::<N, CP, _>(&c.prep.params, &mut c.prep.y, c.max_steps, &mut |_, _| {});
+                chunk_loop::<N, CP, _>(&c.prep.params, &mut c.prep.y, c.max_steps, &mut |_| {});
         }
     } else {
         crate::lanes::pack::<N, CP, W>(chunks);
@@ -1048,8 +1007,8 @@ impl<const N: usize> ChunkLoop<N> {
 }
 
 /// The scalar chunk loop: up to `max_steps` [`ChunkLoop::step`]s,
-/// reporting each committed step's index and node voltage to `observe`.
-pub(crate) fn chunk_loop<const N: usize, const CP: bool, F: FnMut(usize, f64) + ?Sized>(
+/// reporting each committed step's node voltage to `observe`.
+pub(crate) fn chunk_loop<const N: usize, const CP: bool, F: FnMut(f64) + ?Sized>(
     p: &ChunkParams,
     y: &mut [f64; MAX_BRANCHES],
     max_steps: usize,
@@ -1061,7 +1020,7 @@ pub(crate) fn chunk_loop<const N: usize, const CP: bool, F: FnMut(usize, f64) + 
         let Some(v) = l.step::<CP>(p, y, &mut s) else {
             break;
         };
-        observe(s.done - 1, v);
+        observe(v);
     }
     s
 }
@@ -1280,7 +1239,7 @@ impl<'p> PlanRun<'p> {
         st.counters.real_steps += 1;
         self.acc.observe(&out);
         if let Some(f) = sink.as_mut() {
-            f(out);
+            f(out.v_node.get());
         }
         self.off += 1;
         self.k += 1;
@@ -1302,7 +1261,8 @@ impl<'p> PlanRun<'p> {
     /// Runs the plan to its end, every chunk inline.
     fn run_inline(&mut self, st: &mut EventStepper<'_>, sink: &mut Sink<'_>) {
         while let Some(mut chunk) = self.next_chunk(st, sink) {
-            st.run_chunk(&mut chunk, sink);
+            let observe = sink.as_mut().map(|f| &mut **f as &mut dyn FnMut(f64));
+            run_chunks::<1>(std::slice::from_mut(&mut chunk), observe);
             self.commit(st, &chunk);
         }
     }

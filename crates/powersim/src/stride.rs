@@ -164,7 +164,7 @@ fn loop_into(
     total: usize,
 ) {
     let q = ChunkParams { v_prev, ..*p };
-    let rest = chunk_loop::<1, true, _>(&q, y, total - sums.done, &mut |_, _| {});
+    let rest = chunk_loop::<1, true, _>(&q, y, total - sums.done, &mut |_| {});
     merge(sums, &rest);
 }
 
@@ -585,9 +585,9 @@ mod tests {
         let mut ys = prep.y;
         let stride = chunk_cp1(&prep.params, &mut ys, max_steps);
         let mut yl = prep.y;
-        let looped = chunk_loop::<1, true, _>(&prep.params, &mut yl, stride.done, &mut |_, _| {});
+        let looped = chunk_loop::<1, true, _>(&prep.params, &mut yl, stride.done, &mut |_| {});
         let mut yf = prep.y;
-        let free = chunk_loop::<1, true, _>(&prep.params, &mut yf, max_steps, &mut |_, _| {}).done;
+        let free = chunk_loop::<1, true, _>(&prep.params, &mut yf, max_steps, &mut |_| {}).done;
         Some(Pair {
             stride,
             looped,
@@ -727,7 +727,7 @@ mod tests {
                     std::hint::black_box(&prep.params),
                     y,
                     1 << 18,
-                    &mut |_, _| {},
+                    &mut |_| {},
                 )
             });
             println!("{plant:?} at {load} mA: {steps} steps, stride {stride:?}, loop {looped:?}");

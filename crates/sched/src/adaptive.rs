@@ -163,7 +163,7 @@ fn profile_now(sys: &mut PowerSystem, task: &LoadProfile, model: &PowerSystemMod
         sys.step(Amps::ZERO, dt);
     }
     profile_task(sys, task, &Profiler::UArch(UArchProfiler::default()))
-        .map(|run| runtime::compute_vsafe(&run.observation, model).v_safe)
+        .map(|obs| runtime::compute_vsafe(&obs, model).v_safe)
         .unwrap_or_else(|| model.v_high())
 }
 

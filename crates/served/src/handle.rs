@@ -137,13 +137,7 @@ pub fn lint(req: &LintRequest) -> Result<LintResponse, ApiError> {
             .map_err(|e| ApiError::trace(format!("bad trace `{}`: {e}", t.name)))?;
         traces.push(TraceInput::from_raw_file(t.name.clone(), &raw));
     }
-    let input = AnalysisInput {
-        spec: &req.spec,
-        spec_locus: "spec",
-        traces: &traces,
-        plan: req.plan.as_ref(),
-        plan_locus: "plan",
-    };
+    let input = AnalysisInput::new(&req.spec, "spec", &traces, req.plan.as_ref(), "plan");
     let report = Registry::default_battery().run(&input);
     let report_doc = serde_json::parse_value_str(&report.render_json())
         .map_err(|e| ApiError::new(culpeo_api::ApiErrorKind::Internal, e))?;

@@ -332,7 +332,10 @@ fn find_certain_exhaustion(
             // replayed task may outlast the planned gap, so the *previous*
             // window was already stretched to cover it (below).
             hi = hi
-                .charge(harvest_band(power, gap, p.headroom, cfg).hi_only(), p.c)
+                .charge(
+                    IntervalJ::point(harvest_band(power, gap, p.headroom, cfg).hi()),
+                    p.c,
+                )
                 .min(p.v_high);
             let mut unrolled = l.clone();
             unrolled.start_s = abs_start;
@@ -642,17 +645,6 @@ fn unusable_reason(plan: &PlanSpec) -> Option<String> {
         }
     }
     None
-}
-
-/// Upper-endpoint-only view used by the best-case unroll.
-trait HiOnly {
-    fn hi_only(self) -> IntervalJ;
-}
-
-impl HiOnly for IntervalJ {
-    fn hi_only(self) -> IntervalJ {
-        IntervalJ::point(self.hi())
-    }
 }
 
 #[cfg(test)]

@@ -54,8 +54,8 @@ fn culpeo_r_estimates_are_dispatchable_and_tight() {
         ] {
             let mut sys = reference_plant();
             sys.set_buffer_voltage(m.v_high());
-            let run = profile_task(&mut sys, &load, &profiler).expect("profiling completes");
-            let est = runtime::compute_vsafe(&run.observation, &m);
+            let obs = profile_task(&mut sys, &load, &profiler).expect("profiling completes");
+            let est = runtime::compute_vsafe(&obs, &m);
             let err = est.v_safe - truth;
             // Within −2 % … +10 % of the operating range (the paper's
             // correctness and performance bars).
@@ -98,12 +98,12 @@ fn isr_and_uarch_agree() {
         let mut a = reference_plant();
         a.set_buffer_voltage(m.v_high());
         let isr = profile_task(&mut a, &load, &Profiler::Isr(IsrProfiler::msp430()))
-            .map(|r| runtime::compute_vsafe(&r.observation, &m).v_safe)
+            .map(|obs| runtime::compute_vsafe(&obs, &m).v_safe)
             .unwrap();
         let mut b = reference_plant();
         b.set_buffer_voltage(m.v_high());
         let ua = profile_task(&mut b, &load, &Profiler::UArch(UArchProfiler::default()))
-            .map(|r| runtime::compute_vsafe(&r.observation, &m).v_safe)
+            .map(|obs| runtime::compute_vsafe(&obs, &m).v_safe)
             .unwrap();
         assert!(
             isr.approx_eq(ua, 0.05),

@@ -75,7 +75,7 @@ proptest! {
         sys.set_buffer_voltage(m.v_high());
         let run = profile_task(&mut sys, &load, &Profiler::UArch(UArchProfiler::default()));
         prop_assume!(run.is_some());
-        let est = runtime::compute_vsafe(&run.unwrap().observation, &m);
+        let est = runtime::compute_vsafe(&run.unwrap(), &m);
         prop_assume!(est.v_safe < m.v_high());
         let v = est.v_safe + Volts::from_milli(5.0);
         prop_assert!(
