@@ -91,6 +91,18 @@ impl EfficiencyCurve {
     pub fn intercept(&self) -> f64 {
         self.intercept
     }
+
+    /// The lower clamp on the efficiency.
+    #[must_use]
+    pub fn floor(&self) -> f64 {
+        self.floor
+    }
+
+    /// The upper clamp on the efficiency.
+    #[must_use]
+    pub fn ceiling(&self) -> f64 {
+        self.ceiling
+    }
 }
 
 impl Default for EfficiencyCurve {

@@ -185,7 +185,7 @@ impl FleetState {
             return Err(ApiError::bad_request("v_step_mv must be finite and > 0"));
         }
 
-        let (est, pulse) = pg::compute_vsafe_and_pulse(&trace, &model);
+        let (est, pulse) = pg::compute_vsafe_and_pulse(&trace, &model).map_err(ApiError::spec)?;
         let static_vsafe = est.v_safe.get();
         let verdict = match &req.plan {
             Some(plan) => {

@@ -44,7 +44,7 @@ fn vsafe_over_tcp_is_byte_identical_to_the_cli_path() {
     // daemon's `report` field must match it to the byte.
     let model = culpeo_api::SystemSpec::capybara().into_model().unwrap();
     let trace = culpeo_loadgen::io::from_csv(&ble_csv()).unwrap();
-    assert_eq!(resp.report, handle::vsafe_report(&model, &trace));
+    assert_eq!(resp.report, handle::vsafe_report(&model, &trace).unwrap());
     assert_eq!(resp.schema_version, SCHEMA_VERSION);
     assert!(resp.v_safe_v > resp.energy_only_v);
 
