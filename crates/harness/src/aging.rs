@@ -38,8 +38,9 @@ fn load() -> LoadProfile {
     PulseLoad::new(Amps::from_milli(50.0), Seconds::from_milli(10.0)).profile()
 }
 
-/// A plant aged to fraction `t` of end-of-life.
-fn aged_plant(t: f64) -> PowerSystem {
+/// The two-branch reference plant aged to fraction `t` of end-of-life.
+#[must_use]
+pub fn aged_plant(t: f64) -> PowerSystem {
     let mut sys = PowerSystem::capybara_two_branch();
     let aging = AgingState::at_fraction(t);
     let aged: Vec<_> = sys

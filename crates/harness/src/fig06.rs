@@ -11,7 +11,7 @@ use culpeo_exec::{PhaseClock, Sweep, Telemetry};
 use culpeo_loadgen::synthetic::fig6_loads;
 use serde::Serialize;
 
-use crate::ground_truth::{true_vsafe_batch, true_vsafe_cached};
+use crate::ground_truth::true_vsafe_batch;
 use crate::systems::VsafeSystem;
 use crate::{error_percent_of_range, reference_plant};
 
@@ -39,8 +39,8 @@ pub struct Fig06Row {
 }
 
 /// Runs the Figure 6 comparison over the 12 synthetic loads, with phase
-/// telemetry. One sweep cell per load: the ground-truth search plus all
-/// three predictions.
+/// telemetry: ground truth for all loads first, then one sweep cell per
+/// load with its three predictions.
 #[must_use]
 pub fn run(sweep: Sweep) -> (Vec<Fig06Row>, Telemetry) {
     crate::preflight::require_clean_reference();
@@ -48,12 +48,11 @@ pub fn run(sweep: Sweep) -> (Vec<Fig06Row>, Telemetry) {
     let model = PowerSystemModel::characterize(&reference_plant);
     let range = model.operating_range();
     clock.mark("characterize");
-    // Warm the probe cache with one batched lock-step search (see fig10);
-    // the per-load bisections below then resolve from cache.
-    let _ = true_vsafe_batch("reference", &reference_plant, &fig6_loads());
+    let loads = fig6_loads();
+    let truths = true_vsafe_batch("reference", &reference_plant, &loads);
     clock.mark("ground-truth-batch");
-    let per_load = sweep.map_into(fig6_loads(), |_, load| {
-        let Some(truth) = true_vsafe_cached("reference", &reference_plant, load) else {
+    let per_load = sweep.map_into(loads, |i, load| {
+        let Some(truth) = truths[i] else {
             return Vec::new();
         };
         FIG6_SYSTEMS

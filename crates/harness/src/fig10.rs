@@ -11,7 +11,7 @@ use culpeo_exec::{PhaseClock, Sweep, Telemetry};
 use culpeo_loadgen::LoadProfile;
 use serde::Serialize;
 
-use crate::ground_truth::{true_vsafe_batch, true_vsafe_cached};
+use crate::ground_truth::true_vsafe_batch;
 use crate::systems::VsafeSystem;
 use crate::{error_percent_of_range, reference_plant};
 
@@ -40,9 +40,9 @@ pub struct Fig10Row {
 
 /// Runs the Figure 10 comparison of all four systems over `loads` (the
 /// paper's figure uses [`culpeo_loadgen::synthetic::fig10_loads`]), with
-/// phase telemetry — one sweep cell per load (ground truth plus all four
-/// predictions). The determinism tests run a short subset serially and
-/// in parallel and require byte-identical rows.
+/// phase telemetry — ground truth for all loads first, then one sweep
+/// cell per load with its four predictions. The determinism tests run a
+/// short subset serially and in parallel and require byte-identical rows.
 #[must_use]
 pub fn run(sweep: Sweep, loads: &[LoadProfile]) -> (Vec<Fig10Row>, Telemetry) {
     crate::preflight::require_clean_reference();
@@ -50,14 +50,12 @@ pub fn run(sweep: Sweep, loads: &[LoadProfile]) -> (Vec<Fig10Row>, Telemetry) {
     let model = PowerSystemModel::characterize(&reference_plant);
     let range = model.operating_range();
     clock.mark("characterize");
-    // One lock-step batched ground-truth search warms the probe cache for
-    // the whole grid; the per-load bisections below then resolve from
-    // cache. Verdicts are bitwise the scalar search's, so rows are
-    // unchanged.
-    let _ = true_vsafe_batch("reference", &reference_plant, loads);
+    // Ground truth for the whole grid up front, bitwise the plain
+    // bisection's (`true_vsafe`).
+    let truths = true_vsafe_batch("reference", &reference_plant, loads);
     clock.mark("ground-truth-batch");
-    let per_load = sweep.map(loads, |_, load| {
-        let Some(truth) = true_vsafe_cached("reference", &reference_plant, load) else {
+    let per_load = sweep.map(loads, |i, load| {
+        let Some(truth) = truths[i] else {
             return Vec::new();
         };
         FIG10_SYSTEMS

@@ -1,7 +1,7 @@
 //! Determinism contract of the sweep executor: `results/*.json` must be
 //! byte-identical no matter how many worker threads ran the sweep.
 //!
-//! Figure 10 exercises the riskiest path — the ground-truth verdict cache
+//! Figure 10 exercises the riskiest path — the ground-truth result cache
 //! is shared across cells, so the test clears it between runs to prove
 //! the rows do not depend on cache warm-up order either.
 
