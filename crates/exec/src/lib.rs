@@ -146,12 +146,10 @@ impl Sweep {
     /// [`Sweep::map`] with chunked claiming: workers claim contiguous runs
     /// of up to `chunk` cells, and `f` maps a whole run at once.
     ///
-    /// Two wins over per-cell claiming. The atomic cursor is touched once
-    /// per run instead of once per cell — relevant when cells are cheap
-    /// and plentiful (a batch endpoint linting hundreds of items). And the
-    /// callee sees a contiguous slice, so it can hand the run to a batched
-    /// kernel (the powersim lanes executor advances one run per
-    /// invocation) instead of simulating cell by cell.
+    /// The atomic cursor is touched once per run instead of once per
+    /// cell — relevant when cells are cheap and plentiful (a batch
+    /// endpoint linting hundreds of items) — and the callee sees each run
+    /// as one contiguous slice.
     ///
     /// `f` receives the run's starting index and the run's cells, and must
     /// return exactly one result per cell, in cell order. Results land in

@@ -529,9 +529,10 @@ impl PowerSystem {
     }
 
     /// Chunk-advance bookkeeping for the event kernel: advances the clock
-    /// by a whole chunk in one add.
-    pub(crate) fn advance_clock(&mut self, elapsed: Seconds) {
-        self.time += elapsed;
+    /// by `steps` grid steps, bitwise where `steps` [`PowerSystem::step`]
+    /// calls would leave it ([`clock_after`]).
+    pub(crate) fn advance_steps(&mut self, steps: usize, dt: f64) {
+        self.time = Seconds::new(clock_after(self.time.get(), dt, steps));
     }
 
     /// Ledger access for the event kernel's closed-form chunk sums.
@@ -694,12 +695,130 @@ fn default_bank() -> Vec<CapacitorBranch> {
     )]
 }
 
+/// The clock after `n` literal steps: `t` with `dt` added `n` times, one
+/// rounding per addition, so bitwise the clock `n` [`PowerSystem::step`]
+/// calls leave — which windowed harvesters gate on — without `n`
+/// dependent additions. Inside `t`'s binade every addition rounds `dt` to
+/// the same whole number of `t`'s ulps (unless `dt` is an odd number of
+/// half-ulps, a tie the sum's parity breaks), so the sum strides in exact
+/// ulp counts up to the binade's top and adds literally across it.
+pub(crate) fn clock_after(mut t: f64, dt: f64, mut n: usize) -> f64 {
+    /// Ulps per binade: a normal binade's values are `2^52..2^53` ulps.
+    const TOP: i64 = 1 << 53;
+    while n > 0 {
+        // The biased exponent: finite clocks with a normal ulp only.
+        let e = (t.to_bits() >> 52) as i64 & 0x7ff;
+        if (53..0x7ff).contains(&e) && t > dt {
+            // ulp(t) and its inverse are powers of two: every product
+            // below is exact, and every count is under 2^53.
+            let ulp = f64::from_bits(((e - 52) as u64) << 52);
+            let inv = f64::from_bits(((2098 - e) as u64) << 52);
+            let units = (t * inv) as i64;
+            let q = dt * inv;
+            let whole = q as i64;
+            let frac = q - whole as f64;
+            if frac != 0.5 {
+                let r = whole + i64::from(frac > 0.5);
+                if r == 0 {
+                    // Every addition rounds back to `t`.
+                    return t;
+                }
+                // Steps j < m keep `units + j·r + q` under the binade's
+                // top, so each rounds to exactly `r` more ulps.
+                let room = TOP - 1 - units - whole - i64::from(frac > 0.0);
+                if room >= 0 {
+                    let fits = i64::try_from(n - 1)
+                        .ok()
+                        .and_then(|k| k.checked_mul(r))
+                        .is_some_and(|span| span <= room);
+                    let m = if fits { n as i64 } else { room / r + 1 };
+                    t = (units + m * r) as f64 * ulp;
+                    n -= m as usize;
+                    continue;
+                }
+            }
+        }
+        t += dt;
+        n -= 1;
+    }
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn ma(v: f64) -> Amps {
         Amps::from_milli(v)
+    }
+
+    #[test]
+    fn clock_after_is_bitwise_the_repeated_sum() {
+        // Grid steps, a thirds step, short-mantissa steps (including one
+        // an odd number of half-ulps of a 2^41 clock), and a step under
+        // half an ulp of the clock.
+        let dts = [
+            8e-6,
+            1e-5,
+            1e-4,
+            0.1,
+            1.0 / 3.0,
+            f64::powi(2.0, -10),
+            3.0 * f64::powi(2.0, -12),
+            1e-12,
+        ];
+        let ts = [
+            0.0,
+            1e-7,
+            0.03,
+            0.999_999,
+            1.0,
+            123.456,
+            1e6,
+            f64::powi(2.0, 20) - 1e-3,
+            f64::powi(2.0, 41),
+        ];
+        for &dt in &dts {
+            for &t0 in &ts {
+                let mut literal = t0;
+                let mut done = 0;
+                for n in [0usize, 1, 2, 7, 100, 12_345, 200_000] {
+                    while done < n {
+                        literal += dt;
+                        done += 1;
+                    }
+                    let got = clock_after(t0, dt, n);
+                    assert_eq!(
+                        got.to_bits(),
+                        literal.to_bits(),
+                        "t0 {t0} dt {dt} n {n}: {got} vs {literal}"
+                    );
+                }
+            }
+        }
+        // Sums landing within an ulp or two of a binade's top: `dt` is
+        // `r + φ` ulps, the clock starts `10·r + c` ulps under the top.
+        for e in [-6, 0, 8] {
+            let ulp = f64::powi(2.0, e - 52);
+            let top = f64::powi(2.0, e + 1);
+            for r in [1.0, 3.0, 1000.0] {
+                for phi in [-0.25, 0.25, 0.375] {
+                    let dt = (r + phi) * ulp;
+                    for c in 0..4 {
+                        let t0 = top - (10.0 * r + f64::from(c)) * ulp;
+                        let mut literal = t0;
+                        for _ in 0..20 {
+                            literal += dt;
+                        }
+                        assert_eq!(
+                            clock_after(t0, dt, 20).to_bits(),
+                            literal.to_bits(),
+                            "e {e} r {r} φ {phi} c {c}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,15 +30,17 @@
 //! voltage *before* a step commits. Inside a band the kernel falls back to
 //! literal [`PowerSystem::step`] blocks, so monitor transitions, brownout
 //! verdicts, and rail collapse happen on exactly the grid step the
-//! fixed-step loop would pick.
+//! fixed-step loop would pick. A committed chunk advances the plant clock
+//! bitwise as its literal steps would ([`clock_after`]), so windowed
+//! sources flip on the fixed-step loop's own steps.
 //!
-//! One plan runner ([`PlanRun`]) drives every profile and span. It steps
-//! per-step pieces and guard-band blocks itself and stops at each anchored
-//! chunk: [`PowerSystem::run_profile`], [`EventStepper::run_profile_steps`]
-//! and [`EventStepper::run_const`] run that chunk inline, [`crate::Lanes`]
-//! parks it and packs it with other runs' chunks. Either way the chunk
-//! goes through one dispatch table ([`run_chunks`]) onto one step body
-//! ([`ChunkLoop::step`]) and is committed back by its runner.
+//! One plan runner ([`PlanRun`]) drives every profile and span:
+//! [`PowerSystem::run_profile`], [`EventStepper::run_profile_steps`] and
+//! [`EventStepper::run_const`]. It steps per-step pieces and guard-band
+//! blocks itself and runs each anchored chunk inline, through one
+//! dispatch table ([`run_chunk`]) onto one step body ([`ChunkLoop::step`]),
+//! before committing it. Runs are simulated one at a time: the chunk step
+//! is throughput-bound, so lock-stepping independent runs gains nothing.
 //!
 //! [`Kernel::Event`]: crate::engine::Kernel
 //! [`Kernel::FixedStep`]: crate::engine::Kernel
@@ -49,9 +51,8 @@ use culpeo_loadgen::{LoadProfile, ProfileCursor, Segment};
 use culpeo_units::{Amps, Joules, Seconds, Volts};
 
 use crate::{
-    engine::{Kernel, RunConfig},
-    EnergyLedger, Harvester, MonitorState, PowerSystem, RunOutcome, StepOutput, VoltageSample,
-    VoltageTrace,
+    engine::{clock_after, Kernel, RunConfig},
+    Harvester, MonitorState, PowerSystem, RunOutcome, StepOutput, VoltageSample, VoltageTrace,
 };
 
 /// Guard band around each live threshold: within this distance of
@@ -119,11 +120,14 @@ pub enum SpanEnd {
 }
 
 /// Running summary of a span: the strict-first-occurrence minimum the
-/// fixed-step loop tracks, plus the collapse latch.
+/// fixed-step loop tracks, plus the collapse latch. The minimum's time is
+/// kept as a clock and a step count past it ([`Acc::t_min`]), summed only
+/// when it is read.
 #[derive(Debug, Clone, Copy)]
 struct Acc {
     v_min: f64,
-    t_min: f64,
+    t_min_base: f64,
+    t_min_steps: usize,
     seen: bool,
     collapsed: bool,
 }
@@ -132,10 +136,16 @@ impl Acc {
     fn new() -> Self {
         Self {
             v_min: f64::MAX,
-            t_min: 0.0,
+            t_min_base: 0.0,
+            t_min_steps: 0,
             seen: false,
             collapsed: false,
         }
+    }
+
+    /// The time of the minimum's step.
+    fn t_min(&self, dt: f64) -> f64 {
+        clock_after(self.t_min_base, dt, self.t_min_steps)
     }
 
     fn observe(&mut self, out: &StepOutput) {
@@ -146,7 +156,8 @@ impl Acc {
         let v = out.v_node.get();
         if v < self.v_min {
             self.v_min = v;
-            self.t_min = out.t.get();
+            self.t_min_base = out.t.get();
+            self.t_min_steps = 0;
         }
     }
 }
@@ -221,9 +232,8 @@ fn covers(sys: &PowerSystem, dt: f64) -> bool {
 }
 
 /// Whether [`PowerSystem::run_profile`] under `cfg` runs on the event
-/// kernel: the one scope check behind it and [`crate::Lanes`]. Decimated
-/// trace recording and plants the chunk model does not cover take the
-/// fixed-step loop.
+/// kernel. Decimated trace recording and plants the chunk model does not
+/// cover take the fixed-step loop.
 pub(crate) fn in_scope(sys: &PowerSystem, cfg: &RunConfig) -> bool {
     cfg.kernel == Kernel::Event
         && (cfg.summary_only || cfg.record_stride == usize::MAX)
@@ -417,7 +427,7 @@ impl<'a> EventStepper<'a> {
                         let bound = self.level_bound(&chunk.prep, level.get());
                         chunk.prep.params.hi = chunk.prep.params.hi.min(bound);
                     }
-                    run_chunks::<1>(std::slice::from_mut(&mut chunk), None);
+                    run_chunk(&mut chunk, None);
                     self.commit_chunk(&chunk, &mut acc);
                     done = chunk.sums.done;
                 }
@@ -534,7 +544,7 @@ impl<'a> EventStepper<'a> {
                 l = l.min(remaining).max(1);
                 // Float slop near the flip: shrink until the last covered
                 // step is verifiably still in this phase.
-                while l > 1 && gate(t + (l - 1) as f64 * self.dt) != on {
+                while l > 1 && gate(clock_after(t, self.dt, l - 1)) != on {
                     l -= 1;
                 }
                 (Charge::Const(if on { i.get() } else { 0.0 }), l)
@@ -683,7 +693,7 @@ impl<'a> EventStepper<'a> {
         })
     }
 
-    /// Commits a chunk [`run_chunks`] has run: clock, last solved
+    /// Commits a chunk [`run_chunk`] has run: clock, last solved
     /// voltage, ledger sums, branch charges, and the span accumulator. A
     /// zero-step result commits nothing.
     fn commit_chunk(&mut self, chunk: &Chunk, acc: &mut Acc) {
@@ -709,9 +719,10 @@ impl<'a> EventStepper<'a> {
         acc.seen = true;
         if v_min < acc.v_min {
             acc.v_min = v_min;
-            acc.t_min = prep.t_base + (k_min + 1) as f64 * dt;
+            acc.t_min_base = prep.t_base;
+            acc.t_min_steps = k_min + 1;
         }
-        self.sys.advance_clock(Seconds::new(done as f64 * dt));
+        self.sys.advance_steps(done, dt);
         self.sys.set_last_v(Volts::new(v_last));
         {
             let led = self.sys.ledger_mut();
@@ -814,7 +825,7 @@ impl ChunkSums {
 }
 
 /// An anchored chunk on its way through the kernel: prepared, run by
-/// [`run_chunks`] (which advances `prep.y` and fills `sums`), committed.
+/// [`run_chunk`] (which advances `prep.y` and fills `sums`), committed.
 #[derive(Clone, Copy)]
 pub(crate) struct Chunk {
     pub(crate) prep: ChunkPrep,
@@ -823,63 +834,37 @@ pub(crate) struct Chunk {
     pub(crate) sums: ChunkSums,
 }
 
-impl Chunk {
-    /// The monomorphisation key: branch count and charge mode.
-    pub(crate) fn shape(&self) -> (usize, bool) {
-        (self.prep.n, self.prep.is_cp)
-    }
-}
-
-/// Runs same-shape chunks: the event kernel's one dispatch table. It
+/// Runs one chunk: the event kernel's one dispatch table. It
 /// monomorphises on the branch count and charge mode so the per-branch
 /// loops unroll, every array index is bounds-check-free, and the
 /// constant-charge path carries no per-step division. Single-branch
 /// constant-power chunks take the closed-form stride unless `observe`
-/// wants every step; `W > 1` runs the rest as one lock-step lanes pack.
-pub(crate) fn run_chunks<const W: usize>(
-    chunks: &mut [Chunk],
-    observe: Option<&mut dyn FnMut(f64)>,
-) {
-    let Some(first) = chunks.first() else {
-        return;
-    };
-    match first.shape() {
-        (1, false) => run_shape::<1, false, W>(chunks, observe),
-        (2, false) => run_shape::<2, false, W>(chunks, observe),
-        (3, false) => run_shape::<3, false, W>(chunks, observe),
-        (_, false) => run_shape::<4, false, W>(chunks, observe),
-        (1, true) => run_shape::<1, true, W>(chunks, observe),
-        (2, true) => run_shape::<2, true, W>(chunks, observe),
-        (3, true) => run_shape::<3, true, W>(chunks, observe),
-        (_, true) => run_shape::<4, true, W>(chunks, observe),
+/// wants every step.
+fn run_chunk(chunk: &mut Chunk, observe: Option<&mut dyn FnMut(f64)>) {
+    match (chunk.prep.n, chunk.prep.is_cp) {
+        (1, false) => run_shape::<1, false>(chunk, observe),
+        (2, false) => run_shape::<2, false>(chunk, observe),
+        (3, false) => run_shape::<3, false>(chunk, observe),
+        (_, false) => run_shape::<4, false>(chunk, observe),
+        (1, true) => run_shape::<1, true>(chunk, observe),
+        (2, true) => run_shape::<2, true>(chunk, observe),
+        (3, true) => run_shape::<3, true>(chunk, observe),
+        (_, true) => run_shape::<4, true>(chunk, observe),
     }
 }
 
-fn run_shape<const N: usize, const CP: bool, const W: usize>(
-    chunks: &mut [Chunk],
-    observe: Option<&mut dyn FnMut(f64)>,
-) {
-    debug_assert!(chunks.iter().all(|c| c.shape() == chunks[0].shape()));
-    if let Some(f) = observe {
-        for c in chunks {
-            c.sums = chunk_loop::<N, CP, _>(&c.prep.params, &mut c.prep.y, c.max_steps, f);
-        }
+fn run_shape<const N: usize, const CP: bool>(c: &mut Chunk, observe: Option<&mut dyn FnMut(f64)>) {
+    c.sums = if let Some(f) = observe {
+        chunk_loop::<N, CP, _>(&c.prep.params, &mut c.prep.y, c.max_steps, f)
     } else if N == 1 && CP {
-        for c in chunks {
-            c.sums = crate::stride::chunk_cp1(&c.prep.params, &mut c.prep.y, c.max_steps);
-        }
-    } else if W <= 1 {
-        for c in chunks {
-            c.sums =
-                chunk_loop::<N, CP, _>(&c.prep.params, &mut c.prep.y, c.max_steps, &mut |_| {});
-        }
+        crate::stride::chunk_cp1(&c.prep.params, &mut c.prep.y, c.max_steps)
     } else {
-        crate::lanes::pack::<N, CP, W>(chunks);
-    }
+        chunk_loop::<N, CP, _>(&c.prep.params, &mut c.prep.y, c.max_steps, &mut |_| {})
+    };
 }
 
 /// One chunk's loop-invariant step coefficients and loop-carried state:
-/// the cheap step [`chunk_loop`] and the lanes pack both take.
+/// the cheap step [`chunk_loop`] takes.
 ///
 /// Per-branch affine step y' = a·y + bv·v + c (algebraically the
 /// reference integrator's y − (i + leak)·dt/C), plus its fold into the
@@ -889,7 +874,7 @@ fn run_shape<const N: usize, const CP: bool, const W: usize>(
 /// path. Rounding differs from the reference by ~1 ulp per step (~1e-13 V
 /// over the longest chunk), far inside the budget.
 #[derive(Clone, Copy)]
-pub(crate) struct ChunkLoop<const N: usize> {
+struct ChunkLoop<const N: usize> {
     a: [f64; N],
     bv: [f64; N],
     c: [f64; N],
@@ -912,7 +897,7 @@ pub(crate) struct ChunkLoop<const N: usize> {
 #[allow(clippy::needless_range_loop, clippy::manual_memcpy)]
 impl<const N: usize> ChunkLoop<N> {
     #[inline(always)]
-    pub(crate) fn new(p: &ChunkParams, y: &[f64; MAX_BRANCHES]) -> Self {
+    fn new(p: &ChunkParams, y: &[f64; MAX_BRANCHES]) -> Self {
         let mut l = Self {
             a: [0.0; N],
             bv: [0.0; N],
@@ -947,7 +932,7 @@ impl<const N: usize> ChunkLoop<N> {
     /// ledger sums. Returns the step's node voltage, or `None` — committing
     /// nothing — at a guard-bound exit or branch-charge floor.
     #[inline(always)]
-    pub(crate) fn step<const CP: bool>(
+    fn step<const CP: bool>(
         &mut self,
         p: &ChunkParams,
         y: &mut [f64; MAX_BRANCHES],
@@ -1142,10 +1127,9 @@ fn plan_pieces(profile: &LoadProfile, dt: f64, total: usize, offset: Amps) -> Ve
 
 /// The event kernel's one plan runner: a piece plan in progress on an
 /// [`EventStepper`]. It steps `Piece::Each` steps and guard-band
-/// [`REAL_BLOCK`]s itself and stops at each anchored chunk, which its
-/// caller runs — inline ([`PlanRun::run_inline`]) or parked and packed with
-/// other runs' chunks ([`crate::Lanes`]) — and hands back to
-/// [`PlanRun::commit`]. Every call takes the same stepper.
+/// [`REAL_BLOCK`]s itself and stops at each anchored chunk, which
+/// [`PlanRun::run_inline`] runs and hands back to [`PlanRun::commit`].
+/// Every call takes the same stepper.
 struct PlanRun<'p> {
     plan: Cow<'p, [Piece]>,
     /// Evaluates `Piece::Each` steps; plans without them carry none.
@@ -1187,9 +1171,9 @@ impl<'p> PlanRun<'p> {
         }
     }
 
-    /// Advances literal steps until a chunk is anchored (returned, for the
-    /// caller to run and [`PlanRun::commit`]) or the plan completes or
-    /// breaks (`None`, and every later call answers `None` too).
+    /// Advances literal steps until a chunk is anchored (returned, to be
+    /// run and [`PlanRun::commit`]ted) or the plan completes or breaks
+    /// (`None`, and every later call answers `None` too).
     fn next_chunk(&mut self, st: &mut EventStepper<'_>, sink: &mut Sink<'_>) -> Option<Chunk> {
         while self.broke.is_none() {
             match *self.plan.get(self.piece)? {
@@ -1262,122 +1246,71 @@ impl<'p> PlanRun<'p> {
     fn run_inline(&mut self, st: &mut EventStepper<'_>, sink: &mut Sink<'_>) {
         while let Some(mut chunk) = self.next_chunk(st, sink) {
             let observe = sink.as_mut().map(|f| &mut **f as &mut dyn FnMut(f64));
-            run_chunks::<1>(std::slice::from_mut(&mut chunk), observe);
+            run_chunk(&mut chunk, observe);
             self.commit(st, &chunk);
         }
     }
 }
 
-/// A [`PowerSystem::run_profile`] call on the event kernel: the plan
-/// runner under the profile policy with the stepper it owns, plus what its
-/// outcome is measured from.
-pub(crate) struct ProfileRun<'a, 'p> {
-    st: EventStepper<'a>,
-    plan: PlanRun<'p>,
-    cfg: RunConfig,
-    ledger_before: EnergyLedger,
-    v_start: Volts,
-    t0: Seconds,
-}
-
-impl<'a, 'p> ProfileRun<'a, 'p> {
-    /// Starts `sys.run_profile(profile, cfg)`; `cfg` must be
-    /// [`in_scope`].
-    pub(crate) fn new(sys: &'a mut PowerSystem, profile: &'p LoadProfile, cfg: RunConfig) -> Self {
-        let ledger_before = sys.ledger();
-        let v_start = sys.v_node();
-        let t0 = sys.time();
-        let total = profile.duration().steps(cfg.dt).max(1);
-        let st = EventStepper::new(sys, cfg.dt);
-        let plan = plan_pieces(profile, st.dt, total, Amps::ZERO);
-        Self {
-            st,
-            plan: PlanRun::new(
-                Cow::Owned(plan),
-                Some(profile.cursor()),
-                Amps::ZERO,
-                BreakOn::MonitorRecharging,
-            ),
-            cfg,
-            ledger_before,
-            v_start,
-            t0,
-        }
-    }
-
-    /// See [`PlanRun::next_chunk`].
-    pub(crate) fn next_chunk(&mut self) -> Option<Chunk> {
-        self.plan.next_chunk(&mut self.st, &mut None)
-    }
-
-    /// See [`PlanRun::commit`].
-    pub(crate) fn commit(&mut self, chunk: &Chunk) {
-        self.plan.commit(&mut self.st, chunk);
-    }
-
-    pub(crate) fn counters(&self) -> KernelCounters {
-        self.st.counters
-    }
-
-    /// Settles a completed run and assembles its [`RunOutcome`].
-    pub(crate) fn finish(self) -> RunOutcome {
-        let Self {
-            st,
-            plan,
-            cfg,
-            ledger_before,
-            v_start,
-            t0,
-        } = self;
-        let mut acc = plan.acc;
-        let brownout = plan.broke.map(|out| Seconds::new(out.t.get() - t0.get()));
-        if !acc.seen {
-            acc.v_min = v_start.get();
-            acc.t_min = 0.0;
-        }
-        let sys = st.sys;
-        let v_final = if brownout.is_none() {
-            sys.settle(cfg)
-        } else {
-            sys.v_node()
-        };
-        let trace = if cfg.summary_only {
-            VoltageTrace::min_only()
-        } else {
-            // Full-trace mode only reaches here with stride = MAX, whose
-            // observable state is "no samples retained, minimum tracked":
-            // reproduce it with a single push of the minimum.
-            let mut tr = VoltageTrace::new(usize::MAX);
-            tr.push(VoltageSample {
-                t: Seconds::new(acc.t_min),
-                v_node: Volts::new(acc.v_min),
-                i_in: Amps::ZERO,
-            });
-            tr
-        };
-        RunOutcome {
-            trace,
-            v_start,
-            v_min: Volts::new(acc.v_min),
-            t_min: Seconds::new(acc.t_min),
-            v_final,
-            brownout,
-            collapsed: acc.collapsed,
-            ledger: sys.ledger().delta(&ledger_before),
-        }
-    }
-}
-
 /// Event-kernel implementation of [`PowerSystem::run_profile`] for an
-/// [`in_scope`] configuration.
+/// [`in_scope`] configuration: the plan runner under the profile policy,
+/// then the settle and the [`RunOutcome`] measured against the start.
 pub(crate) fn run_profile(
     sys: &mut PowerSystem,
     profile: &LoadProfile,
     cfg: RunConfig,
 ) -> RunOutcome {
-    let mut run = ProfileRun::new(sys, profile, cfg);
-    run.plan.run_inline(&mut run.st, &mut None);
-    run.finish()
+    let ledger_before = sys.ledger();
+    let v_start = sys.v_node();
+    let t0 = sys.time();
+    let total = profile.duration().steps(cfg.dt).max(1);
+    let mut st = EventStepper::new(sys, cfg.dt);
+    let plan = plan_pieces(profile, st.dt, total, Amps::ZERO);
+    let mut run = PlanRun::new(
+        Cow::Owned(plan),
+        Some(profile.cursor()),
+        Amps::ZERO,
+        BreakOn::MonitorRecharging,
+    );
+    run.run_inline(&mut st, &mut None);
+
+    let acc = run.acc;
+    let brownout = run.broke.map(|out| Seconds::new(out.t.get() - t0.get()));
+    let (v_min, t_min) = if acc.seen {
+        (Volts::new(acc.v_min), Seconds::new(acc.t_min(st.dt)))
+    } else {
+        (v_start, Seconds::ZERO)
+    };
+    let sys = st.sys;
+    let v_final = if brownout.is_none() {
+        sys.settle(cfg)
+    } else {
+        sys.v_node()
+    };
+    let trace = if cfg.summary_only {
+        VoltageTrace::min_only()
+    } else {
+        // Full-trace mode only reaches here with stride = MAX, whose
+        // observable state is "no samples retained, minimum tracked":
+        // reproduce it with a single push of the minimum.
+        let mut tr = VoltageTrace::new(usize::MAX);
+        tr.push(VoltageSample {
+            t: t_min,
+            v_node: v_min,
+            i_in: Amps::ZERO,
+        });
+        tr
+    };
+    RunOutcome {
+        trace,
+        v_start,
+        v_min,
+        t_min,
+        v_final,
+        brownout,
+        collapsed: acc.collapsed,
+        ledger: sys.ledger().delta(&ledger_before),
+    }
 }
 
 /// Event-kernel implementation of [`PowerSystem::settle`]: the same 10 ms

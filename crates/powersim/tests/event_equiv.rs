@@ -9,12 +9,17 @@
 //! outside: a randomized property over plants, harvesters, and
 //! multi-segment profiles, plus a unit battery pinning the crossing
 //! detection at the `V_high`/`V_off` boundaries and degenerate segments,
-//! and the idle-span break of `EventStepper::run_idle_until` (the step
-//! the open-circuit voltage reaches a level or the monitor changes state).
+//! a plant battery reaching every chunk shape (2-, 3- and 4-branch banks
+//! under every charge mode, windowed sources flipping inside constant
+//! pieces, constant-power ramps, single-branch strides, out-of-scope
+//! plants), and the idle-span break of `EventStepper::run_idle_until`
+//! (the step the open-circuit voltage reaches a level or the monitor
+//! changes state).
 
 use culpeo_loadgen::LoadProfile;
 use culpeo_powersim::{
-    EventStepper, Harvester, Kernel, MonitorState, PowerSystem, RunConfig, SpanEnd,
+    BreakOn, CapacitorBranch, EventStepper, Harvester, Kernel, KernelCounters, MonitorState,
+    PowerSystem, RunConfig, SpanEnd,
 };
 use culpeo_units::{Amps, Farads, Ohms, Seconds, Volts, Watts};
 use proptest::prelude::*;
@@ -214,6 +219,238 @@ fn sub_step_burst_periods_agree() {
         .build();
     let sys = plant(45.0, 2.0, 2.25, Harvester::Off);
     assert_kernels_agree(&sys, &profile, probe_cfg(10.0));
+}
+
+// ---- plant battery: every chunk shape the kernel dispatches on ----
+
+fn ma(v: f64) -> Amps {
+    Amps::from_milli(v)
+}
+
+fn charged(mut sys: PowerSystem, v0: f64) -> PowerSystem {
+    sys.set_buffer_voltage(Volts::new(v0));
+    sys.force_output_enabled();
+    sys
+}
+
+/// The two-branch ladder plus slower branches up to `branches` in all,
+/// charged to `v0`.
+fn bank(branches: usize, harvester: Harvester, v0: f64) -> PowerSystem {
+    let mut b = PowerSystem::builder()
+        .two_branch_bank()
+        .harvester(harvester);
+    for k in 2..branches {
+        b = b.extra_branch(CapacitorBranch::new(
+            Farads::from_milli(10.0 * k as f64),
+            Ohms::new(2.0 + k as f64),
+            Amps::new(5e-9),
+            Volts::ZERO,
+        ));
+    }
+    charged(b.build(), v0)
+}
+
+/// No harvest, constant current, the weak solar source and a stronger
+/// constant-power one: both chunk charge modes.
+fn charge_modes() -> [Harvester; 4] {
+    [
+        Harvester::Off,
+        Harvester::ConstantCurrent(ma(4.0)),
+        Harvester::weak_solar(),
+        Harvester::ConstantPower(Watts::from_milli(3.0)),
+    ]
+}
+
+/// The event kernel's work counters for `profile` on `sys`, under the
+/// `run_profile` break policy.
+fn event_counters(sys: &PowerSystem, profile: &LoadProfile, dt: Seconds) -> KernelCounters {
+    let mut sys = sys.clone();
+    let mut stepper = EventStepper::new(&mut sys, dt);
+    let steps = profile.duration().steps(dt).max(1);
+    let _ = stepper.run_profile_steps(profile, steps, Amps::ZERO, BreakOn::MonitorRecharging, None);
+    stepper.counters()
+}
+
+/// Checks every plant of `branches` branches under every charge mode,
+/// from a comfortable and a near-brownout start, and that the event
+/// kernel chunked each.
+fn assert_banks_agree(branches: usize) {
+    let task = LoadProfile::constant("task", ma(20.0), Seconds::from_milli(30.0));
+    let multi = LoadProfile::builder("multi")
+        .hold(ma(25.0), Seconds::from_milli(20.0))
+        .hold(ma(2.0), Seconds::from_milli(20.0))
+        .build();
+    let cfg = RunConfig {
+        settle_timeout: Seconds::from_milli(200.0),
+        ..probe_cfg(10.0)
+    };
+    for h in charge_modes() {
+        for v0 in [2.3, 1.9] {
+            let sys = bank(branches, h, v0);
+            assert_eq!(sys.buffer().branches().len(), branches);
+            for profile in [&task, &multi] {
+                assert_kernels_agree(&sys, profile, cfg);
+                let counters = event_counters(&sys, profile, cfg.dt);
+                assert!(
+                    counters.chunks > 0,
+                    "{branches} branches, {h:?}: {counters:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn two_branch_bank_agrees_under_every_charge_mode() {
+    assert_banks_agree(2);
+}
+
+#[test]
+fn three_and_four_branch_banks_agree_under_every_charge_mode() {
+    assert_banks_agree(3);
+    assert_banks_agree(4);
+}
+
+#[test]
+fn brownout_and_completing_starts_agree() {
+    let heavy = LoadProfile::constant("heavy", ma(50.0), Seconds::from_milli(100.0));
+    let mut verdicts = Vec::new();
+    for v0 in [1.75, 2.45, 1.8, 2.4] {
+        let sys = charged(PowerSystem::capybara_two_branch(), v0);
+        assert_kernels_agree(&sys, &heavy, probe_cfg(10.0));
+        verdicts.push(sys.clone().run_profile(&heavy, probe_cfg(10.0)).completed());
+    }
+    assert!(
+        verdicts.contains(&true) && verdicts.contains(&false),
+        "{verdicts:?}"
+    );
+}
+
+/// A slow windowed source: 2 ms period at 10 µs steps, so every 30 ms
+/// constant piece spans a dozen phase flips. Every flip falls exactly on
+/// a grid step, where the gate is decided by the clock's last ulp: the
+/// chunks must leave the fixed-step loop's own repeated-sum clock.
+fn windowed(phase_ms: f64, duty: f64) -> Harvester {
+    Harvester::Windowed {
+        i: ma(6.0),
+        period: Seconds::from_milli(2.0),
+        duty,
+        phase: Seconds::from_milli(phase_ms),
+    }
+}
+
+#[test]
+fn windowed_harvester_flipping_inside_const_pieces_agrees() {
+    let load = LoadProfile::builder("windowed")
+        .hold(ma(20.0), Seconds::from_milli(30.0))
+        .hold(ma(3.0), Seconds::from_milli(30.0))
+        .build();
+    let cfg = probe_cfg(10.0);
+    for (k, h) in [windowed(0.0, 0.5), windowed(0.37, 0.25), windowed(1.1, 0.8)]
+        .into_iter()
+        .enumerate()
+    {
+        for v0 in [2.35, 1.85] {
+            let sys = bank(2, h, v0 + 0.01 * k as f64);
+            assert_kernels_agree(&sys, &load, cfg);
+            let counters = event_counters(&sys, &load, cfg.dt);
+            assert!(counters.chunks > 0, "{h:?}: {counters:?}");
+        }
+    }
+}
+
+#[test]
+fn constant_power_ramp_browning_out_mid_ramp_agrees() {
+    // A ramp (per-step pieces) under constant-power charging, from start
+    // voltages that brown out part-way up the ramp and from ones that
+    // finish it.
+    let ramp = LoadProfile::builder("ramp")
+        .hold(ma(5.0), Seconds::from_milli(5.0))
+        .ramp(ma(5.0), ma(60.0), Seconds::from_milli(20.0))
+        .hold(ma(1.0), Seconds::from_milli(5.0))
+        .build();
+    let mut mid_ramp = 0;
+    for v0 in [1.75, 1.8, 1.85, 2.4] {
+        let sys = bank(2, Harvester::weak_solar(), v0);
+        assert_kernels_agree(&sys, &ramp, probe_cfg(10.0));
+        let brownout = sys.clone().run_profile(&ramp, probe_cfg(10.0)).brownout;
+        mid_ramp += usize::from(brownout.is_some_and(|t| t.get() > 5e-3 && t.get() < 25e-3));
+    }
+    assert!(mid_ramp > 0, "no start browned out on the ramp");
+}
+
+#[test]
+fn single_branch_constant_power_plants_agree_through_strides() {
+    // The scheduler-trial plants: one branch, constant-power harvest, so
+    // their chunks take the closed-form stride.
+    let task = LoadProfile::constant("task", ma(8.0), Seconds::from_milli(200.0));
+    let burst = LoadProfile::builder("burst")
+        .hold(ma(30.0), Seconds::from_milli(20.0))
+        .hold(ma(2.0), Seconds::from_milli(150.0))
+        .build();
+    let cfg = RunConfig {
+        settle_timeout: Seconds::from_milli(500.0),
+        ..probe_cfg(100.0)
+    };
+    let mut strided = 0;
+    for (i, (c, r, p)) in [
+        (15.0, 10.0, 5.0),
+        (45.0, 3.3, 3.0),
+        (45.0, 3.3, 4.0),
+        (30.0, 6.0, 4.5),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let h = Harvester::ConstantPower(Watts::from_milli(p));
+        let sys = plant(c, r, 2.1 + 0.1 * i as f64, h);
+        let profile = if i % 2 == 0 { &task } else { &burst };
+        assert_kernels_agree(&sys, profile, cfg);
+        strided += event_counters(&sys, profile, cfg.dt).strided_chunks;
+    }
+    assert!(strided > 0, "no plant strided");
+}
+
+#[test]
+fn out_of_scope_plants_fall_back_to_fixed_step() {
+    // Out of the chunk model's scope, the event kernel must decline rather
+    // than approximate: the run is bitwise the fixed-step run.
+    let load = LoadProfile::constant("task", ma(10.0), Seconds::from_milli(5.0));
+    let cfg = probe_cfg(10.0).with_kernel(Kernel::Event);
+    let fast_window = Harvester::Windowed {
+        i: ma(5.0),
+        period: Seconds::from_micro(20.0),
+        duty: 0.5,
+        phase: Seconds::ZERO,
+    };
+    for sys in [bank(2, fast_window, 2.3), bank(5, Harvester::Off, 2.3)] {
+        assert!(!EventStepper::new(&mut sys.clone(), cfg.dt).capable());
+        let event = sys.clone().run_profile(&load, cfg);
+        let fixed = sys
+            .clone()
+            .run_profile(&load, cfg.with_kernel(Kernel::FixedStep));
+        assert_eq!(event, fixed);
+    }
+
+    // A decimated trace is out of scope for the load, not for the plant:
+    // the load runs fixed-step, bitwise, and only the rebound settles on
+    // the event kernel.
+    let sys = bank(2, Harvester::Off, 2.3);
+    let decimated = RunConfig {
+        record_stride: 4,
+        summary_only: false,
+        ..cfg
+    };
+    let event = sys.clone().run_profile(&load, decimated);
+    let fixed = sys
+        .clone()
+        .run_profile(&load, decimated.with_kernel(Kernel::FixedStep));
+    assert!(!event.trace.samples().is_empty());
+    assert_eq!(
+        (&event.trace, event.v_min, event.t_min, event.brownout),
+        (&fixed.trace, fixed.v_min, fixed.t_min, fixed.brownout)
+    );
+    assert_kernels_agree(&sys, &load, decimated);
 }
 
 // ---- idle spans: the open-circuit level / monitor-change break ----

@@ -17,8 +17,8 @@
 //! per-connection sequence number re-serialises them), and flushes
 //! nonblockingly with `EPOLLOUT` interest toggled only while output is
 //! buffered. Two **scheduler** threads advance the digital-twin fleet
-//! ([`crate::fleet`]) through `Lanes<8>` rounds via the shard hand-off
-//! protocol in [`culpeo_exec::shard`].
+//! ([`crate::fleet`]) in shards of eight, round by round, via the shard
+//! hand-off protocol in [`culpeo_exec::shard`].
 //!
 //! Connections keep alive by default; they close when the client asks
 //! (`Connection: close`), on any error status, and on drain. Every
