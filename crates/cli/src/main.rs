@@ -196,25 +196,9 @@ fn run_lint(rest: &[String]) -> Result<(String, i32), CliError> {
     let mut it = lint_rest.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--trace" => traces.push(
-                it.next()
-                    .ok_or_else(|| CliError::Usage("--trace needs a path".into()))?
-                    .clone(),
-            ),
-            "--plan" => {
-                plan = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--plan needs a path".into()))?
-                        .clone(),
-                );
-            }
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("json") => LintFormat::Json,
-                    Some("human") => LintFormat::Human,
-                    _ => return Err(CliError::Usage("--format takes `json` or `human`".into())),
-                };
-            }
+            "--trace" => traces.push(flag_value(&mut it, "--trace", "a path")?.clone()),
+            "--plan" => plan = Some(flag_value(&mut it, "--plan", "a path")?.clone()),
+            "--format" => format = format_value(&mut it)?,
             "--deny-warnings" => deny_warnings = true,
             other => return Err(CliError::Usage(format!("unknown flag: {other}"))),
         }
@@ -232,20 +216,8 @@ fn run_verify(rest: &[String]) -> Result<(String, i32), CliError> {
     let mut it = rest[1..].iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--plan" => {
-                plan = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--plan needs a path".into()))?
-                        .clone(),
-                );
-            }
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("json") => LintFormat::Json,
-                    Some("human") => LintFormat::Human,
-                    _ => return Err(CliError::Usage("--format takes `json` or `human`".into())),
-                };
-            }
+            "--plan" => plan = Some(flag_value(&mut it, "--plan", "a path")?.clone()),
+            "--format" => format = format_value(&mut it)?,
             other => return Err(CliError::Usage(format!("unknown flag: {other}"))),
         }
     }
@@ -265,20 +237,8 @@ fn run_wcec(rest: &[String]) -> Result<(String, i32), CliError> {
     let mut it = rest[1..].iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--tasks" => {
-                tasks = Some(
-                    it.next()
-                        .ok_or_else(|| CliError::Usage("--tasks needs a path".into()))?
-                        .clone(),
-                );
-            }
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("json") => LintFormat::Json,
-                    Some("human") => LintFormat::Human,
-                    _ => return Err(CliError::Usage("--format takes `json` or `human`".into())),
-                };
-            }
+            "--tasks" => tasks = Some(flag_value(&mut it, "--tasks", "a path")?.clone()),
+            "--format" => format = format_value(&mut it)?,
             other => return Err(CliError::Usage(format!("unknown flag: {other}"))),
         }
     }
@@ -318,17 +278,7 @@ fn run_store(rest: &[String]) -> Result<(String, i32), CliError> {
             let mut it = flags.iter();
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--format" => {
-                        format = match it.next().map(String::as_str) {
-                            Some("json") => LintFormat::Json,
-                            Some("human") => LintFormat::Human,
-                            _ => {
-                                return Err(CliError::Usage(
-                                    "--format takes `json` or `human`".into(),
-                                ))
-                            }
-                        };
-                    }
+                    "--format" => format = format_value(&mut it)?,
                     other => return Err(CliError::Usage(format!("unknown flag: {other}"))),
                 }
             }
@@ -343,22 +293,15 @@ fn run_store(rest: &[String]) -> Result<(String, i32), CliError> {
             let mut seed = 42u64;
             let mut it = flags.iter();
             while let Some(flag) = it.next() {
-                let mut numeric = |what: &str| -> Result<u64, CliError> {
-                    it.next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .ok_or_else(|| {
-                            CliError::Usage(format!("{what} needs a non-negative integer"))
-                        })
-                };
                 match flag.as_str() {
                     "--records" => {
-                        let n = numeric("--records")?;
+                        let n: u64 = flag_number(&mut it, "--records", NON_NEGATIVE)?;
                         if n == 0 {
                             return Err(CliError::Usage("--records must be positive".into()));
                         }
                         records = Some(n);
                     }
-                    "--seed" => seed = numeric("--seed")?,
+                    "--seed" => seed = flag_number(&mut it, "--seed", NON_NEGATIVE)?,
                     other => return Err(CliError::Usage(format!("unknown flag: {other}"))),
                 }
             }
@@ -378,11 +321,7 @@ fn parse_serve(args: &[String]) -> Result<culpeo_served::ServerConfig, CliError>
     let mut config = culpeo_served::ServerConfig::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut numeric = |what: &str| -> Result<u64, CliError> {
-            it.next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| CliError::Usage(format!("{what} needs a non-negative integer")))
-        };
+        let mut numeric = |what: &str| flag_number::<u64>(&mut it, what, NON_NEGATIVE);
         match flag.as_str() {
             "--port" => {
                 config.port = u16::try_from(numeric("--port")?)
@@ -426,9 +365,7 @@ fn parse_serve(args: &[String]) -> Result<culpeo_served::ServerConfig, CliError>
                     .map_err(|_| CliError::Usage("--cache-capacity is out of range".into()))?;
             }
             "--store" => {
-                let dir = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--store needs a directory".into()))?;
+                let dir = flag_value(&mut it, "--store", "a directory")?;
                 config.store_dir = Some(std::path::PathBuf::from(dir));
             }
             "--log" => {
@@ -456,29 +393,15 @@ fn parse_chaos(args: &[String]) -> Result<ChaosArgs, CliError> {
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .ok_or_else(|| CliError::Usage("--seed needs a non-negative integer".into()))?;
-            }
+            "--seed" => seed = flag_number(&mut it, "--seed", NON_NEGATIVE)?,
             "--threads" => {
-                let n = it
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .ok_or_else(|| CliError::Usage("--threads needs a positive integer".into()))?;
+                let n: usize = flag_number(&mut it, "--threads", "a positive integer")?;
                 if n == 0 {
                     return Err(CliError::Usage("--threads must be positive".into()));
                 }
                 threads = Some(n);
             }
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("json") => LintFormat::Json,
-                    Some("human") => LintFormat::Human,
-                    _ => return Err(CliError::Usage("--format takes `json` or `human`".into())),
-                };
-            }
+            "--format" => format = format_value(&mut it)?,
             other => return Err(CliError::Usage(format!("unknown flag: {other}"))),
         }
     }
@@ -496,26 +419,10 @@ fn parse_race(
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--preemptions" => {
-                config.preemptions =
-                    it.next()
-                        .and_then(|v| v.parse::<u32>().ok())
-                        .ok_or_else(|| {
-                            CliError::Usage("--preemptions needs a non-negative integer".into())
-                        })?;
+                config.preemptions = flag_number(&mut it, "--preemptions", NON_NEGATIVE)?;
             }
-            "--seed" => {
-                config.seed = it
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .ok_or_else(|| CliError::Usage("--seed needs a non-negative integer".into()))?;
-            }
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("json") => LintFormat::Json,
-                    Some("human") => LintFormat::Human,
-                    _ => return Err(CliError::Usage("--format takes `json` or `human`".into())),
-                };
-            }
+            "--seed" => config.seed = flag_number(&mut it, "--seed", NON_NEGATIVE)?,
+            "--format" => format = format_value(&mut it)?,
             other => return Err(CliError::Usage(format!("unknown flag: {other}"))),
         }
     }
@@ -529,18 +436,8 @@ fn parse_common(args: &[String]) -> Result<(Vec<String>, Option<String>), CliErr
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--trace" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--trace needs a path".into()))?;
-                traces.push(value.clone());
-            }
-            "--system" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--system needs a path".into()))?;
-                system = Some(value.clone());
-            }
+            "--trace" => traces.push(flag_value(&mut it, "--trace", "a path")?.clone()),
+            "--system" => system = Some(flag_value(&mut it, "--system", "a path")?.clone()),
             other => return Err(CliError::Usage(format!("unknown flag: {other}"))),
         }
     }
@@ -560,22 +457,10 @@ fn parse_check(args: &[String]) -> Result<CheckArgs, CliError> {
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--trace" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--trace needs a path".into()))?;
-                traces.push(value.clone());
-            }
-            "--system" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--system needs a path".into()))?;
-                system = Some(value.clone());
-            }
+            "--trace" => traces.push(flag_value(&mut it, "--trace", "a path")?.clone()),
+            "--system" => system = Some(flag_value(&mut it, "--system", "a path")?.clone()),
             "--threads" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--threads needs a count".into()))?;
+                let value = flag_value(&mut it, "--threads", "a count")?;
                 threads = Some(value.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(
                     || CliError::Usage("--threads must be a positive integer".into()),
                 )?);
@@ -591,14 +476,44 @@ fn parse_flag_value(args: &[String], flag: &str) -> Result<Option<String>, CliEr
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == flag {
-            return it
-                .next()
-                .cloned()
-                .map(Some)
-                .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")));
+            return flag_value(&mut it, flag, "a value").cloned().map(Some);
         }
     }
     Ok(None)
+}
+
+/// What an integer flag whose value may be zero needs.
+const NON_NEGATIVE: &str = "a non-negative integer";
+
+/// The argument after `flag`, or the usage error "`flag` needs `what`".
+fn flag_value<'a>(
+    it: &mut std::slice::Iter<'a, String>,
+    flag: &str,
+    what: &str,
+) -> Result<&'a String, CliError> {
+    it.next()
+        .ok_or_else(|| CliError::Usage(format!("{flag} needs {what}")))
+}
+
+/// The argument after `flag` parsed as a `T`; a missing or unparseable
+/// argument is the usage error "`flag` needs `what`".
+fn flag_number<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, CliError> {
+    flag_value(it, flag, what)?
+        .parse()
+        .map_err(|_| CliError::Usage(format!("{flag} needs {what}")))
+}
+
+/// The argument after `--format`: `json` or `human`.
+fn format_value(it: &mut std::slice::Iter<'_, String>) -> Result<LintFormat, CliError> {
+    match it.next().map(String::as_str) {
+        Some("json") => Ok(LintFormat::Json),
+        Some("human") => Ok(LintFormat::Human),
+        _ => Err(CliError::Usage("--format takes `json` or `human`".into())),
+    }
 }
 
 #[cfg(test)]

@@ -288,10 +288,9 @@ mod tests {
         let cfg = RunConfig {
             dt: Seconds::from_micro(10.0),
             settle_timeout: Seconds::ZERO,
-            summary_only: true,
-            ..RunConfig::default()
+            ..RunConfig::default().without_trace()
         };
-        plant_at(v).run_profile(load, cfg).v_min
+        plant_at(v).run_profile_reference(load, cfg).v_min
     }
 
     #[test]

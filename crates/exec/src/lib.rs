@@ -166,67 +166,18 @@ impl Sweep {
         F: Fn(usize, &[T]) -> Vec<R> + Sync,
     {
         let chunk = chunk.max(1);
-        let n_runs = cells.len().div_ceil(chunk);
-        let workers = self.threads.min(n_runs).max(1);
-        let run = |c: usize| {
-            let start = c * chunk;
-            let slice = &cells[start..(start + chunk).min(cells.len())];
-            let out = f(start, slice);
+        let starts: Vec<usize> = (0..cells.len()).step_by(chunk).collect();
+        let runs = self.map(&starts, |_, &start| {
+            let run = &cells[start..(start + chunk).min(cells.len())];
+            let out = f(start, run);
             assert_eq!(
                 out.len(),
-                slice.len(),
+                run.len(),
                 "map_chunks callee must return one result per cell"
             );
-            (start, out)
-        };
-        if workers == 1 {
-            return (0..n_runs).flat_map(|c| run(c).1).collect();
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(cells.len());
-        slots.resize_with(cells.len(), || None);
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let cursor = &cursor;
-                let run = &run;
-                handles.push(scope.spawn(move || {
-                    let mut local = Vec::new();
-                    while let Some(c) = protocol::claim_next(cursor, n_runs) {
-                        let (start, out) = run(c);
-                        local.extend(out.into_iter().enumerate().map(|(k, r)| (start + k, r)));
-                    }
-                    local
-                }));
-            }
-            let mut panic = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok(pairs) => protocol::scatter(&mut slots, pairs),
-                    Err(payload) => panic = panic.or(Some(payload)),
-                }
-            }
-            if let Some(payload) = panic {
-                std::panic::resume_unwind(payload);
-            }
+            out
         });
-
-        slots
-            .into_iter()
-            .map(|s| s.expect("every cell produced a result"))
-            .collect()
-    }
-
-    /// [`Sweep::map`] over an owned vector of cells.
-    pub fn map_into<T, R, F>(&self, cells: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.map(&cells, f)
+        runs.into_iter().flatten().collect()
     }
 }
 

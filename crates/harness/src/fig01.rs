@@ -53,7 +53,7 @@ pub fn run() -> (Fig01, Telemetry) {
     let out = sys.run_profile(
         &load,
         RunConfig {
-            record_stride: 64,
+            record_stride: Some(64),
             ..RunConfig::default()
         },
     );

@@ -51,7 +51,7 @@ pub fn run(sweep: Sweep) -> (Vec<Fig06Row>, Telemetry) {
     let loads = fig6_loads();
     let truths = true_vsafe_batch("reference", &reference_plant, &loads);
     clock.mark("ground-truth-batch");
-    let per_load = sweep.map_into(loads, |i, load| {
+    let per_load = sweep.map(&loads, |i, load| {
         let Some(truth) = truths[i] else {
             return Vec::new();
         };

@@ -4,8 +4,8 @@ use culpeo_loadgen::LoadProfile;
 use culpeo_units::{Amps, Farads, Joules, Ohms, Seconds, Volts};
 
 use crate::{
-    BufferNetwork, CapacitorBranch, EnergyLedger, Harvester, MonitorState, OutputBooster,
-    VoltageMonitor, VoltageSample, VoltageTrace, DEFAULT_DT,
+    BreakOn, BufferNetwork, CapacitorBranch, EnergyLedger, EventStepper, Harvester, MonitorState,
+    OutputBooster, VoltageMonitor, VoltageSample, VoltageTrace, DEFAULT_DT,
 };
 
 /// A complete energy-harvesting power system: buffer network, output
@@ -64,31 +64,20 @@ pub struct StepOutput {
     pub monitor: MonitorState,
 }
 
-/// Which integration kernel [`PowerSystem::run_profile`] and
-/// [`PowerSystem::settle`] use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Kernel {
-    /// The reference loop: one Newton node-solve per `dt` step.
-    #[default]
-    FixedStep,
-    /// The event-driven analytic kernel (`event` module): between load
-    /// edges and threshold crossings the state advances in closed-form
-    /// chunks on the same `dt` grid, falling back to literal
-    /// [`PowerSystem::step`] blocks inside a guard band around each
-    /// crossing and for plants the chunk model does not cover. Summaries
-    /// agree with [`Kernel::FixedStep`] to ~1 nV; brownout/completion
-    /// verdicts are grid-exact.
-    Event,
-}
-
 /// Configuration for [`PowerSystem::run_profile`].
+///
+/// Whether the run records a trace also picks its kernel: an untraced run
+/// (`record_stride: None`) on a plant the chunk model covers takes the
+/// event kernel (`event` module), every other run the fixed-step loop of
+/// [`PowerSystem::run_profile_reference`]. The two report the same
+/// verdicts and, to ~1 nV, the same summaries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunConfig {
     /// Integration step.
     pub dt: Seconds,
-    /// Record every n-th sample into the returned trace (minimum voltage is
-    /// always exact regardless).
-    pub record_stride: usize,
+    /// Record every n-th step into the returned trace, or nothing when
+    /// `None`. The minimum voltage is exact either way.
+    pub record_stride: Option<usize>,
     /// After the load ends, keep simulating (zero load) until the node
     /// voltage stops rebounding, up to this long. Zero skips the rebound
     /// wait entirely (`v_final` is then the node voltage at the instant
@@ -97,49 +86,34 @@ pub struct RunConfig {
     /// Rebound is considered settled when the node moves less than this
     /// over 10 ms.
     pub settle_tolerance: Volts,
-    /// Skip voltage-trace recording entirely: the returned
-    /// [`RunOutcome::trace`] is empty, while `v_start` / `v_min` / `t_min` /
-    /// `v_final` / `brownout` are exactly what a recording run would report.
-    /// The bisection searches and application trials only consume the
-    /// summary, so they skip the per-step trace work.
-    pub summary_only: bool,
-    /// Which integration kernel to use. [`Kernel::Event`] produces the
-    /// same verdicts and (to ~1 nV) the same summaries, much faster on
-    /// supported plants; unsupported configurations silently run the
-    /// fixed-step loop.
-    pub kernel: Kernel,
 }
 
 impl Default for RunConfig {
     fn default() -> Self {
         Self {
             dt: DEFAULT_DT,
-            record_stride: 8, // 125 kHz integration, ~15.6 kHz recording
+            record_stride: Some(8), // 125 kHz integration, ~15.6 kHz recording
             settle_timeout: Seconds::new(2.0),
             settle_tolerance: Volts::from_micro(100.0),
-            summary_only: false,
-            kernel: Kernel::FixedStep,
         }
     }
 }
 
 impl RunConfig {
-    /// A coarse configuration for long application runs: 100 µs steps,
-    /// minimum-only recording, event kernel.
+    /// A coarse configuration for long application runs: 100 µs steps, no
+    /// trace.
     #[must_use]
     pub fn coarse() -> Self {
         Self {
             dt: Seconds::from_micro(100.0),
-            record_stride: usize::MAX,
-            kernel: Kernel::Event,
-            ..Self::default()
+            ..Self::default().without_trace()
         }
     }
 
     /// The probe-mode configuration every bisection/completion search
-    /// uses: summary-only, no settle wait (the verdict is decided before
-    /// settling starts), event kernel, and a step size matched to the
-    /// load length — 10 µs for sub-second loads, 50 µs beyond that.
+    /// uses: no trace, no settle wait (the verdict is decided before
+    /// settling starts), and a step size matched to the load length —
+    /// 10 µs for sub-second loads, 50 µs beyond that.
     ///
     /// Hoisted here so the ground-truth searches and the event/fixed-step
     /// comparison paths cannot drift on dt/settle defaults.
@@ -152,25 +126,15 @@ impl RunConfig {
         };
         Self {
             dt,
-            record_stride: usize::MAX,
             settle_timeout: Seconds::ZERO,
-            summary_only: true,
-            kernel: Kernel::Event,
-            ..Self::default()
+            ..Self::default().without_trace()
         }
     }
 
-    /// The same configuration with [`RunConfig::summary_only`] set.
+    /// The same configuration recording no trace.
     #[must_use]
     pub fn without_trace(mut self) -> Self {
-        self.summary_only = true;
-        self
-    }
-
-    /// The same configuration with a different [`Kernel`].
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
+        self.record_stride = None;
         self
     }
 }
@@ -178,8 +142,8 @@ impl RunConfig {
 /// The result of running a load profile on the plant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
-    /// Recorded node-voltage trace (decimated per the run configuration;
-    /// empty when the run was configured [`RunConfig::summary_only`]).
+    /// Recorded node-voltage trace (decimated per
+    /// [`RunConfig::record_stride`]; empty when it is `None`).
     pub trace: VoltageTrace,
     /// Node voltage just before the load was applied.
     pub v_start: Volts,
@@ -386,134 +350,127 @@ impl PowerSystem {
     ///
     /// The run aborts (with `brownout = Some(t)`) the moment the monitor
     /// cuts the output or the rail collapses — on the real device the task
-    /// dies there.
+    /// dies there. An untraced run on a plant the chunk model covers takes
+    /// the event kernel for the load and the rebound alike; every other run
+    /// is [`PowerSystem::run_profile_reference`].
     #[must_use]
     pub fn run_profile(&mut self, profile: &LoadProfile, cfg: RunConfig) -> RunOutcome {
-        if crate::event::in_scope(self, &cfg) {
-            return crate::event::run_profile(self, profile, cfg);
-        }
-        self.run_profile_fixed(profile, cfg)
+        let event = crate::event::in_scope(self, &cfg);
+        self.run(profile, cfg, event)
     }
 
-    /// The reference fixed-step loop behind [`PowerSystem::run_profile`].
-    fn run_profile_fixed(&mut self, profile: &LoadProfile, cfg: RunConfig) -> RunOutcome {
+    /// The reference fixed-step loop: one Newton node-solve per `dt` step,
+    /// for the load and for the rebound, on any plant and configuration.
+    /// This is the physics the event kernel is checked against; tests
+    /// compare [`PowerSystem::run_profile`] with it.
+    #[must_use]
+    pub fn run_profile_reference(&mut self, profile: &LoadProfile, cfg: RunConfig) -> RunOutcome {
+        self.run(profile, cfg, false)
+    }
+
+    /// A run on the event kernel or the fixed-step loop: the load phase,
+    /// then the rebound settle on the same kernel.
+    fn run(&mut self, profile: &LoadProfile, cfg: RunConfig, event: bool) -> RunOutcome {
         let ledger_before = self.ledger;
         let v_start = self.v_node();
-        // A `None` trace (summary-only mode) skips all recording work; the
-        // minimum is tracked in the loop below either way.
-        let mut trace = if cfg.summary_only {
-            None
-        } else {
-            Some(VoltageTrace::new(cfg.record_stride))
-        };
         let t0 = self.time;
         let steps = profile.duration().steps(cfg.dt).max(1);
+        let mut trace = cfg.record_stride.map(VoltageTrace::new);
+        let load = if event {
+            crate::event::run_load(self, profile, steps, cfg.dt)
+        } else {
+            self.run_load(profile, steps, cfg.dt, trace.as_mut())
+        };
+        let brownout = load.broke_at.map(|t| Seconds::new(t.get() - t0.get()));
+        let v_final = if brownout.is_none() && cfg.settle_timeout.get() > 0.0 {
+            self.settle(cfg, event)
+        } else {
+            // A browned-out run reports the failure instant; a zero timeout
+            // (completion probes, whose verdict is decided before settling
+            // starts) reports the node as it stands.
+            self.v_node()
+        };
+        RunOutcome {
+            trace: trace.unwrap_or_default(),
+            v_start,
+            v_min: load.v_min,
+            t_min: load.t_min,
+            v_final,
+            brownout,
+            collapsed: load.collapsed,
+            // Report only this run's movements.
+            ledger: self.ledger.delta(&ledger_before),
+        }
+    }
+
+    /// The reference loop's load phase: `steps ≥ 1` literal steps on the
+    /// profile, recording each into `trace` if there is one.
+    fn run_load(
+        &mut self,
+        profile: &LoadProfile,
+        steps: usize,
+        dt: Seconds,
+        mut trace: Option<&mut VoltageTrace>,
+    ) -> LoadPhase {
         // Forward-only cursor: query times are k·dt, strictly increasing,
         // so the per-step segment lookup is amortised O(1).
         let mut load = profile.cursor();
-
-        let mut brownout = None;
-        let mut collapsed = false;
         // Running minimum, tracked here rather than read back from the
         // trace: same strict-< / first-occurrence rule as
         // `VoltageTrace::minimum`, but independent of whether a trace
         // exists at all.
-        let mut v_min = Volts::new(f64::MAX);
-        let mut t_min = Seconds::ZERO;
-        let mut seen_any = false;
+        let mut phase = LoadPhase {
+            v_min: Volts::new(f64::MAX),
+            t_min: Seconds::ZERO,
+            broke_at: None,
+            collapsed: false,
+        };
         for k in 0..steps {
-            let offset = Seconds::new(k as f64 * cfg.dt.get());
+            let offset = Seconds::new(k as f64 * dt.get());
             let i = load.current_at(offset);
-            let out = self.step(i, cfg.dt);
-            if let Some(trace) = trace.as_mut() {
+            let out = self.step(i, dt);
+            if let Some(trace) = trace.as_deref_mut() {
                 trace.push(VoltageSample {
                     t: out.t,
                     v_node: out.v_node,
                     i_in: out.i_in,
                 });
             }
-            if out.v_node < v_min {
-                v_min = out.v_node;
-                t_min = out.t;
+            if out.v_node < phase.v_min {
+                phase.v_min = out.v_node;
+                phase.t_min = out.t;
             }
-            seen_any = true;
-            if out.collapsed {
-                collapsed = true;
-            }
-            if i.get() > 0.0 && !out.delivering {
-                brownout = Some(Seconds::new(out.t.get() - t0.get()));
-                break;
-            }
-            if out.monitor == MonitorState::Recharging {
-                brownout = Some(Seconds::new(out.t.get() - t0.get()));
+            phase.collapsed |= out.collapsed;
+            if (i.get() > 0.0 && !out.delivering) || out.monitor == MonitorState::Recharging {
+                phase.broke_at = Some(out.t);
                 break;
             }
         }
-        if !seen_any {
-            // Unreachable today (`steps ≥ 1`), but keep the degenerate case
-            // well-defined rather than reporting the f64::MAX sentinel.
-            v_min = v_start;
-            t_min = Seconds::ZERO;
-        }
-
-        let v_final = if brownout.is_none() {
-            self.settle(cfg)
-        } else {
-            self.v_node()
-        };
-
-        // Report only this run's movements.
-        let ledger = self.ledger.delta(&ledger_before);
-
-        RunOutcome {
-            trace: trace.unwrap_or_else(VoltageTrace::min_only),
-            v_start,
-            v_min,
-            t_min,
-            v_final,
-            brownout,
-            collapsed,
-            ledger,
-        }
+        phase
     }
 
     /// Runs the system unloaded until the node voltage stops moving (the
-    /// post-task rebound of Figure 1b), returning the settled voltage.
-    pub fn settle(&mut self, cfg: RunConfig) -> Volts {
-        if cfg.settle_timeout.get() <= 0.0 {
-            // A zero timeout disables the rebound wait entirely: report the
-            // node as it stands. Completion-probe runs use this — their
-            // verdict is decided before settling starts.
-            return self.v_node();
+    /// post-task rebound of Figure 1b), returning the settled voltage: the
+    /// [`settle_windows`] loop, each window advanced on the event kernel
+    /// when `event` is set and by literal steps otherwise.
+    fn settle(&mut self, cfg: RunConfig, event: bool) -> Volts {
+        let dt = cfg.dt;
+        let window_steps = SETTLE_WINDOW.steps(dt).max(1);
+        let v = self.v_node();
+        if event {
+            let mut st = EventStepper::new(self, dt);
+            settle_windows(cfg, v, || {
+                let _ = st.run_const(Amps::ZERO, window_steps, BreakOn::Never, None);
+                st.last_step_v()
+            })
+        } else {
+            settle_windows(cfg, v, || {
+                for _ in 0..window_steps {
+                    self.step(Amps::ZERO, dt);
+                }
+                self.last_v_node
+            })
         }
-        if cfg.kernel == Kernel::Event {
-            if let Some(v) = crate::event::try_settle(self, cfg) {
-                return v;
-            }
-        }
-        self.settle_fixed(cfg)
-    }
-
-    /// The reference fixed-step settle loop behind [`PowerSystem::settle`].
-    fn settle_fixed(&mut self, cfg: RunConfig) -> Volts {
-        if cfg.settle_timeout.get() <= 0.0 {
-            return self.v_node();
-        }
-        let window = Seconds::from_milli(10.0);
-        let window_steps = window.steps(cfg.dt).max(1);
-        let max_windows = (cfg.settle_timeout.get() / window.get()).ceil().max(1.0) as usize;
-        let mut prev = self.v_node();
-        for _ in 0..max_windows {
-            let mut last = prev;
-            for _ in 0..window_steps {
-                last = self.step(Amps::ZERO, cfg.dt).v_node;
-            }
-            if (last - prev).abs() < cfg.settle_tolerance {
-                return last;
-            }
-            prev = last;
-        }
-        prev
     }
 
     /// The node voltage solved at the previous step (the value the
@@ -550,6 +507,38 @@ impl PowerSystem {
         }
         v
     }
+}
+
+/// The window the rebound settle checks convergence over.
+const SETTLE_WINDOW: Seconds = Seconds::new(10e-3);
+
+/// The rebound settle's convergence loop: up to `settle_timeout` of
+/// [`SETTLE_WINDOW`]s, each run by `advance`, which returns the node
+/// voltage of the window's last step. Settled once a window moves the node
+/// by less than `settle_tolerance` from `prev`, the voltage before it.
+fn settle_windows(cfg: RunConfig, mut prev: Volts, mut advance: impl FnMut() -> Volts) -> Volts {
+    let max_windows = (cfg.settle_timeout.get() / SETTLE_WINDOW.get())
+        .ceil()
+        .max(1.0) as usize;
+    for _ in 0..max_windows {
+        let last = advance();
+        if (last - prev).abs() < cfg.settle_tolerance {
+            return last;
+        }
+        prev = last;
+    }
+    prev
+}
+
+/// What the load phase of a run reports to the rebound and the outcome.
+pub(crate) struct LoadPhase {
+    /// The minimum node voltage over the load's steps, and its step's time.
+    pub(crate) v_min: Volts,
+    pub(crate) t_min: Seconds,
+    /// The clock after the step the run broke on (brownout or load fault).
+    pub(crate) broke_at: Option<Seconds>,
+    /// True if the rail collapsed at some step.
+    pub(crate) collapsed: bool,
 }
 
 /// Builder for a [`PowerSystem`]; defaults reproduce the simulated Capybara.

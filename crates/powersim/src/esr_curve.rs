@@ -135,11 +135,9 @@ pub fn measure_esr_curve(
         sys.force_output_enabled();
         let width = f.period();
         let pulse = LoadProfile::constant("esr-probe", i_test, width);
-        // Only the summary (v_min, v_delta) is read, so the event kernel
-        // applies: trace-free, analytic between crossings.
-        let mut cfg = RunConfig::default()
-            .without_trace()
-            .with_kernel(crate::Kernel::Event);
+        // Only the summary (v_min, v_delta) is read: the run records no
+        // trace, so it takes the event kernel.
+        let mut cfg = RunConfig::default().without_trace();
         // Resolve fast pulses: at least 32 steps across the pulse.
         if width.get() / cfg.dt.get() < 32.0 {
             cfg.dt = width / 32.0;

@@ -1,4 +1,6 @@
-//! The event-driven analytic kernel behind [`Kernel::Event`].
+//! The event-driven analytic kernel: [`PowerSystem::run_profile`] takes it
+//! for the load and the rebound of every run that records no trace on a
+//! plant it covers ([`in_scope`]).
 //!
 //! Between events — load edges from the profile's piece plan, harvester
 //! window flips, `V_high`/`V_off`/collapse threshold crossings — the plant
@@ -12,7 +14,8 @@
 //! Taylor, update the branch states, accumulate the ledger sums. The Taylor
 //! is re-anchored every `DELTA_V` of node movement, which keeps its
 //! truncation error near 1e-12 V — two to three orders below the 1e-9 V
-//! equivalence budget against [`Kernel::FixedStep`].
+//! equivalence budget against the fixed-step loop,
+//! [`PowerSystem::run_profile_reference`].
 //!
 //! Single-branch chunks charged at constant power — every scheduler-trial
 //! plant — skip even the inner loop where they can: [`crate::stride`]
@@ -41,9 +44,6 @@
 //! dispatch table ([`run_chunk`]) onto one step body ([`ChunkLoop::step`]),
 //! before committing it. Runs are simulated one at a time: the chunk step
 //! is throughput-bound, so lock-stepping independent runs gains nothing.
-//!
-//! [`Kernel::Event`]: crate::engine::Kernel
-//! [`Kernel::FixedStep`]: crate::engine::Kernel
 
 use std::borrow::Cow;
 
@@ -51,8 +51,8 @@ use culpeo_loadgen::{LoadProfile, ProfileCursor, Segment};
 use culpeo_units::{Amps, Joules, Seconds, Volts};
 
 use crate::{
-    engine::{clock_after, Kernel, RunConfig},
-    Harvester, MonitorState, PowerSystem, RunOutcome, StepOutput, VoltageSample, VoltageTrace,
+    engine::{clock_after, LoadPhase, RunConfig},
+    Harvester, MonitorState, PowerSystem, StepOutput,
 };
 
 /// Guard band around each live threshold: within this distance of
@@ -128,7 +128,6 @@ struct Acc {
     v_min: f64,
     t_min_base: f64,
     t_min_steps: usize,
-    seen: bool,
     collapsed: bool,
 }
 
@@ -138,7 +137,6 @@ impl Acc {
             v_min: f64::MAX,
             t_min_base: 0.0,
             t_min_steps: 0,
-            seen: false,
             collapsed: false,
         }
     }
@@ -149,7 +147,6 @@ impl Acc {
     }
 
     fn observe(&mut self, out: &StepOutput) {
-        self.seen = true;
         if out.collapsed {
             self.collapsed = true;
         }
@@ -232,12 +229,10 @@ fn covers(sys: &PowerSystem, dt: f64) -> bool {
 }
 
 /// Whether [`PowerSystem::run_profile`] under `cfg` runs on the event
-/// kernel. Decimated trace recording and plants the chunk model does not
-/// cover take the fixed-step loop.
+/// kernel: exactly when it records no trace and the chunk model covers the
+/// plant. Every other run takes the fixed-step loop.
 pub(crate) fn in_scope(sys: &PowerSystem, cfg: &RunConfig) -> bool {
-    cfg.kernel == Kernel::Event
-        && (cfg.summary_only || cfg.record_stride == usize::MAX)
-        && covers(sys, cfg.dt.get())
+    cfg.record_stride.is_none() && covers(sys, cfg.dt.get())
 }
 
 /// The event kernel's stepping facade over a [`PowerSystem`].
@@ -716,7 +711,6 @@ impl<'a> EventStepper<'a> {
         self.counters.chunk_steps += done as u64;
         self.counters.strided_chunks += u64::from(sums.strided);
         let dt = self.dt;
-        acc.seen = true;
         if v_min < acc.v_min {
             acc.v_min = v_min;
             acc.t_min_base = prep.t_base;
@@ -1252,20 +1246,17 @@ impl<'p> PlanRun<'p> {
     }
 }
 
-/// Event-kernel implementation of [`PowerSystem::run_profile`] for an
-/// [`in_scope`] configuration: the plan runner under the profile policy,
-/// then the settle and the [`RunOutcome`] measured against the start.
-pub(crate) fn run_profile(
+/// The event kernel's load phase of an [`in_scope`] run: `steps ≥ 1` grid
+/// steps of `profile` on the plan runner under the `run_profile` break
+/// policy.
+pub(crate) fn run_load(
     sys: &mut PowerSystem,
     profile: &LoadProfile,
-    cfg: RunConfig,
-) -> RunOutcome {
-    let ledger_before = sys.ledger();
-    let v_start = sys.v_node();
-    let t0 = sys.time();
-    let total = profile.duration().steps(cfg.dt).max(1);
-    let mut st = EventStepper::new(sys, cfg.dt);
-    let plan = plan_pieces(profile, st.dt, total, Amps::ZERO);
+    steps: usize,
+    dt: Seconds,
+) -> LoadPhase {
+    let mut st = EventStepper::new(sys, dt);
+    let plan = plan_pieces(profile, st.dt, steps, Amps::ZERO);
     let mut run = PlanRun::new(
         Cow::Owned(plan),
         Some(profile.cursor()),
@@ -1273,76 +1264,18 @@ pub(crate) fn run_profile(
         BreakOn::MonitorRecharging,
     );
     run.run_inline(&mut st, &mut None);
-
-    let acc = run.acc;
-    let brownout = run.broke.map(|out| Seconds::new(out.t.get() - t0.get()));
-    let (v_min, t_min) = if acc.seen {
-        (Volts::new(acc.v_min), Seconds::new(acc.t_min(st.dt)))
-    } else {
-        (v_start, Seconds::ZERO)
-    };
-    let sys = st.sys;
-    let v_final = if brownout.is_none() {
-        sys.settle(cfg)
-    } else {
-        sys.v_node()
-    };
-    let trace = if cfg.summary_only {
-        VoltageTrace::min_only()
-    } else {
-        // Full-trace mode only reaches here with stride = MAX, whose
-        // observable state is "no samples retained, minimum tracked":
-        // reproduce it with a single push of the minimum.
-        let mut tr = VoltageTrace::new(usize::MAX);
-        tr.push(VoltageSample {
-            t: t_min,
-            v_node: v_min,
-            i_in: Amps::ZERO,
-        });
-        tr
-    };
-    RunOutcome {
-        trace,
-        v_start,
-        v_min,
-        t_min,
-        v_final,
-        brownout,
-        collapsed: acc.collapsed,
-        ledger: sys.ledger().delta(&ledger_before),
+    LoadPhase {
+        v_min: Volts::new(run.acc.v_min),
+        t_min: Seconds::new(run.acc.t_min(st.dt)),
+        broke_at: run.broke.map(|out| out.t),
+        collapsed: run.acc.collapsed,
     }
-}
-
-/// Event-kernel implementation of [`PowerSystem::settle`]: the same 10 ms
-/// convergence windows, advanced by the chunk loop. `None` when the plant
-/// is out of scope.
-pub(crate) fn try_settle(sys: &mut PowerSystem, cfg: RunConfig) -> Option<Volts> {
-    if cfg.settle_timeout.get() <= 0.0 {
-        return Some(sys.v_node());
-    }
-    let window = Seconds::from_milli(10.0);
-    let window_steps = window.steps(cfg.dt).max(1);
-    let max_windows = (cfg.settle_timeout.get() / window.get()).ceil().max(1.0) as usize;
-    let mut prev = sys.v_node();
-    let mut stepper = EventStepper::new(sys, cfg.dt);
-    if !stepper.capable() {
-        return None;
-    }
-    for _ in 0..max_windows {
-        let _ = stepper.run_const(Amps::ZERO, window_steps, BreakOn::Never, None);
-        let last = stepper.last_step_v();
-        if (last - prev).abs() < cfg.settle_tolerance {
-            return Some(last);
-        }
-        prev = last;
-    }
-    Some(prev)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Kernel;
+    use crate::RunOutcome;
     use culpeo_units::Seconds;
 
     fn ma(v: f64) -> Amps {
@@ -1352,8 +1285,12 @@ mod tests {
     fn compare(sys: &PowerSystem, profile: &LoadProfile, cfg: RunConfig) {
         let mut fixed_sys = sys.clone();
         let mut event_sys = sys.clone();
-        let fixed = fixed_sys.run_profile(profile, cfg.with_kernel(Kernel::FixedStep));
-        let event = event_sys.run_profile(profile, cfg.with_kernel(Kernel::Event));
+        assert!(
+            in_scope(sys, &cfg),
+            "the comparison must reach the event kernel"
+        );
+        let fixed = fixed_sys.run_profile_reference(profile, cfg);
+        let event = event_sys.run_profile(profile, cfg);
         assert_eq!(
             fixed.brownout.is_some(),
             event.brownout.is_some(),
@@ -1383,9 +1320,7 @@ mod tests {
     fn probe_cfg() -> RunConfig {
         RunConfig {
             dt: Seconds::from_micro(10.0),
-            record_stride: usize::MAX,
-            summary_only: true,
-            ..RunConfig::default()
+            ..RunConfig::default().without_trace()
         }
     }
 
@@ -1434,11 +1369,8 @@ mod tests {
         sys.force_output_enabled();
         let profile = LoadProfile::constant("task", ma(20.0), Seconds::from_milli(40.0));
         let cfg = RunConfig {
-            dt: Seconds::from_micro(10.0),
-            record_stride: usize::MAX,
-            summary_only: true,
             settle_timeout: Seconds::new(1.0),
-            ..RunConfig::default()
+            ..probe_cfg()
         };
         compare(&sys, &profile, cfg);
     }
@@ -1455,11 +1387,8 @@ mod tests {
         sys.force_output_enabled();
         let profile = LoadProfile::constant("task", ma(20.0), Seconds::from_milli(40.0));
         let cfg = RunConfig {
-            dt: Seconds::from_micro(10.0),
-            record_stride: usize::MAX,
-            summary_only: true,
             settle_timeout: Seconds::new(1.0),
-            ..RunConfig::default()
+            ..probe_cfg()
         };
         compare(&sys, &profile, cfg);
     }
@@ -1476,15 +1405,45 @@ mod tests {
             .build();
         sys.set_buffer_voltage(Volts::new(2.2));
         let profile = LoadProfile::constant("p", ma(10.0), Seconds::from_milli(5.0));
-        let cfg = probe_cfg().with_kernel(Kernel::Event);
+        let cfg = probe_cfg();
         // A windowed source flipping nearly every grid step is out of the
         // chunk model's scope: the event kernel must decline rather than
         // approximate.
         assert!(!in_scope(&sys, &cfg));
         // And the public API silently produces the fixed-step result.
         let a = sys.clone().run_profile(&profile, cfg);
-        let b = sys.run_profile(&profile, cfg.with_kernel(Kernel::FixedStep));
+        let b = sys.run_profile_reference(&profile, cfg);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn in_scope_exactly_when_untraced_on_a_covered_plant() {
+        let covered = PowerSystem::capybara_two_branch();
+        let uncovered = PowerSystem::builder()
+            .harvester(Harvester::Windowed {
+                i: ma(5.0),
+                period: Seconds::from_micro(20.0),
+                duty: 0.5,
+                phase: Seconds::ZERO,
+            })
+            .build();
+        let dt = Seconds::from_micro(10.0);
+        assert!(covers(&covered, dt.get()));
+        assert!(!covers(&uncovered, dt.get()));
+        for stride in [None, Some(1), Some(8), Some(usize::MAX)] {
+            let cfg = RunConfig {
+                dt,
+                record_stride: stride,
+                ..RunConfig::default()
+            };
+            assert_eq!(in_scope(&covered, &cfg), stride.is_none(), "{stride:?}");
+            assert!(!in_scope(&uncovered, &cfg), "{stride:?}");
+        }
+        // The stock configurations: traced by default, untraced otherwise.
+        assert!(!in_scope(&covered, &RunConfig::default()));
+        assert!(in_scope(&covered, &RunConfig::coarse()));
+        assert!(in_scope(&covered, &RunConfig::probe(Seconds::new(0.1))));
+        assert!(in_scope(&covered, &RunConfig::default().without_trace()));
     }
 
     #[test]
@@ -1497,15 +1456,20 @@ mod tests {
             settle_timeout: Seconds::new(1.0),
             ..probe_cfg()
         };
-        for kernel in [Kernel::FixedStep, Kernel::Event] {
+        type Run = fn(&mut PowerSystem, &LoadProfile, RunConfig) -> RunOutcome;
+        let kernels: [(&str, Run); 2] = [
+            ("fixed", PowerSystem::run_profile_reference),
+            ("event", PowerSystem::run_profile),
+        ];
+        for (name, run) in kernels {
             let t0 = std::time::Instant::now();
             let mut v = 0.0;
             for _ in 0..100 {
                 let mut s = sys.clone();
-                let out = s.run_profile(&profile, cfg.with_kernel(kernel));
+                let out = run(&mut s, &profile, cfg);
                 v = out.v_final.get();
             }
-            println!("{kernel:?}: {:?} (v_final {v})", t0.elapsed() / 100);
+            println!("{name}: {:?} (v_final {v})", t0.elapsed() / 100);
         }
         let t0 = std::time::Instant::now();
         for _ in 0..100 {
@@ -1516,13 +1480,13 @@ mod tests {
             settle_timeout: Seconds::ZERO,
             ..probe_cfg()
         };
-        for kernel in [Kernel::FixedStep, Kernel::Event] {
+        for (name, run) in kernels {
             let t0 = std::time::Instant::now();
             for _ in 0..100 {
                 let mut s = sys.clone();
-                std::hint::black_box(s.run_profile(&profile, cfg0.with_kernel(kernel)));
+                std::hint::black_box(run(&mut s, &profile, cfg0));
             }
-            println!("{kernel:?} no-settle: {:?}", t0.elapsed() / 100);
+            println!("{name} no-settle: {:?}", t0.elapsed() / 100);
         }
         let mut s = sys.clone();
         let mut stepper = EventStepper::new(&mut s, cfg.dt);

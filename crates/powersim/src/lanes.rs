@@ -44,7 +44,6 @@ impl<const W: usize> Lanes<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Kernel;
     use culpeo_units::{Amps, Seconds, Volts};
 
     fn ma(v: f64) -> Amps {
@@ -66,10 +65,7 @@ mod tests {
         }
         let cfg = RunConfig {
             dt: Seconds::from_micro(10.0),
-            record_stride: usize::MAX,
-            summary_only: true,
-            kernel: Kernel::Event,
-            ..RunConfig::default()
+            ..RunConfig::default().without_trace()
         };
         let cfgs = vec![cfg; systems.len()];
         let mut serial = systems.clone();

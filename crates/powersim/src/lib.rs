@@ -60,7 +60,7 @@ pub use audit::{Auditor, Violation};
 pub use booster::{EfficiencyCurve, OutputBooster};
 pub use capacitor::{AgingState, CapacitorBranch};
 pub use energy::EnergyLedger;
-pub use engine::{Kernel, PowerSystem, PowerSystemBuilder, RunConfig, RunOutcome, StepOutput};
+pub use engine::{PowerSystem, PowerSystemBuilder, RunConfig, RunOutcome, StepOutput};
 pub use esr_curve::{measure_esr_curve, standard_probe_frequencies, EsrCurve};
 pub use event::{BreakOn, EventStepper, KernelCounters, SpanEnd};
 pub use harvester::Harvester;

@@ -50,12 +50,6 @@ impl VoltageTrace {
         }
     }
 
-    /// A trace that records nothing but still tracks the minimum.
-    #[must_use]
-    pub fn min_only() -> Self {
-        Self::new(usize::MAX)
-    }
-
     /// Feeds one simulation step into the trace.
     pub fn push(&mut self, sample: VoltageSample) {
         self.seen_any = true;
@@ -66,12 +60,7 @@ impl VoltageTrace {
         if self.counter == 0 {
             self.samples.push(sample);
         }
-        self.counter = (self.counter + 1) % self.stride.max(1);
-        if self.stride == usize::MAX {
-            // min_only mode: drop the sample we just stored to keep memory flat.
-            self.samples.clear();
-            self.counter = 1;
-        }
+        self.counter = (self.counter + 1) % self.stride;
     }
 
     /// The recorded (decimated) samples.
@@ -147,16 +136,6 @@ mod tests {
         assert_eq!(t_min, Seconds::new(55.0));
         // The dip itself was decimated away…
         assert!(tr.samples().iter().all(|s| s.v_node > Volts::new(1.9)));
-    }
-
-    #[test]
-    fn min_only_keeps_memory_flat() {
-        let mut tr = VoltageTrace::min_only();
-        for k in 0..10_000 {
-            tr.push(sample(k as f64, 2.0 - k as f64 * 1e-5));
-        }
-        assert!(tr.is_empty());
-        assert!(tr.minimum().is_some());
     }
 
     #[test]

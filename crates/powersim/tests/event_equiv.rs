@@ -18,8 +18,8 @@
 
 use culpeo_loadgen::LoadProfile;
 use culpeo_powersim::{
-    BreakOn, CapacitorBranch, EventStepper, Harvester, Kernel, KernelCounters, MonitorState,
-    PowerSystem, RunConfig, SpanEnd,
+    BreakOn, CapacitorBranch, EventStepper, Harvester, KernelCounters, MonitorState, PowerSystem,
+    RunConfig, SpanEnd,
 };
 use culpeo_units::{Amps, Farads, Ohms, Seconds, Volts, Watts};
 use proptest::prelude::*;
@@ -27,19 +27,18 @@ use proptest::prelude::*;
 fn probe_cfg(dt_us: f64) -> RunConfig {
     RunConfig {
         dt: Seconds::from_micro(dt_us),
-        record_stride: usize::MAX,
-        summary_only: true,
-        ..RunConfig::default()
+        ..RunConfig::default().without_trace()
     }
 }
 
-/// Runs `profile` under both kernels and checks the equivalence contract:
-/// verdict-exact, summaries within 1e-9 V.
+/// Runs `profile` through `run_profile` (the event kernel, for an untraced
+/// `cfg` on a covered plant) and the fixed-step reference, and checks the
+/// equivalence contract: verdict-exact, summaries within 1e-9 V.
 fn assert_kernels_agree(sys: &PowerSystem, profile: &LoadProfile, cfg: RunConfig) {
     let mut fixed_sys = sys.clone();
     let mut event_sys = sys.clone();
-    let fixed = fixed_sys.run_profile(profile, cfg.with_kernel(Kernel::FixedStep));
-    let event = event_sys.run_profile(profile, cfg.with_kernel(Kernel::Event));
+    let fixed = fixed_sys.run_profile_reference(profile, cfg);
+    let event = event_sys.run_profile(profile, cfg);
     assert_eq!(
         fixed.brownout.is_some(),
         event.brownout.is_some(),
@@ -416,7 +415,7 @@ fn out_of_scope_plants_fall_back_to_fixed_step() {
     // Out of the chunk model's scope, the event kernel must decline rather
     // than approximate: the run is bitwise the fixed-step run.
     let load = LoadProfile::constant("task", ma(10.0), Seconds::from_milli(5.0));
-    let cfg = probe_cfg(10.0).with_kernel(Kernel::Event);
+    let cfg = probe_cfg(10.0);
     let fast_window = Harvester::Windowed {
         i: ma(5.0),
         period: Seconds::from_micro(20.0),
@@ -426,31 +425,23 @@ fn out_of_scope_plants_fall_back_to_fixed_step() {
     for sys in [bank(2, fast_window, 2.3), bank(5, Harvester::Off, 2.3)] {
         assert!(!EventStepper::new(&mut sys.clone(), cfg.dt).capable());
         let event = sys.clone().run_profile(&load, cfg);
-        let fixed = sys
-            .clone()
-            .run_profile(&load, cfg.with_kernel(Kernel::FixedStep));
+        let fixed = sys.clone().run_profile_reference(&load, cfg);
         assert_eq!(event, fixed);
     }
 
-    // A decimated trace is out of scope for the load, not for the plant:
-    // the load runs fixed-step, bitwise, and only the rebound settles on
-    // the event kernel.
+    // A traced run takes the fixed-step loop on a covered plant too, load
+    // and rebound: bitwise the reference, trace and `v_final` included.
     let sys = bank(2, Harvester::Off, 2.3);
-    let decimated = RunConfig {
-        record_stride: 4,
-        summary_only: false,
+    assert!(EventStepper::new(&mut sys.clone(), cfg.dt).capable());
+    let traced = RunConfig {
+        record_stride: Some(4),
+        settle_timeout: Seconds::from_milli(200.0),
         ..cfg
     };
-    let event = sys.clone().run_profile(&load, decimated);
-    let fixed = sys
-        .clone()
-        .run_profile(&load, decimated.with_kernel(Kernel::FixedStep));
-    assert!(!event.trace.samples().is_empty());
-    assert_eq!(
-        (&event.trace, event.v_min, event.t_min, event.brownout),
-        (&fixed.trace, fixed.v_min, fixed.t_min, fixed.brownout)
-    );
-    assert_kernels_agree(&sys, &load, decimated);
+    let run = sys.clone().run_profile(&load, traced);
+    let reference = sys.clone().run_profile_reference(&load, traced);
+    assert!(!run.trace.samples().is_empty());
+    assert_eq!(run, reference);
 }
 
 // ---- idle spans: the open-circuit level / monitor-change break ----

@@ -1,4 +1,5 @@
-//! Property-based tests of the simulated plant's physics.
+//! Property-based tests of the simulated plant's physics, on the reference
+//! fixed-step loop (`PowerSystem::run_profile_reference`).
 
 use culpeo_loadgen::LoadProfile;
 use culpeo_powersim::{PowerSystem, RunConfig};
@@ -15,8 +16,7 @@ fn system(c_mf: f64, esr: f64, v0: f64) -> PowerSystem {
 fn fast_cfg() -> RunConfig {
     RunConfig {
         dt: Seconds::from_micro(50.0),
-        record_stride: usize::MAX,
-        ..RunConfig::default()
+        ..RunConfig::default().without_trace()
     }
 }
 
@@ -33,7 +33,7 @@ proptest! {
     ) {
         let mut sys = system(45.0, esr, 2.45);
         let load = LoadProfile::constant("p", Amps::from_milli(i_ma), Seconds::from_milli(w_ms));
-        let out = sys.run_profile(&load, fast_cfg());
+        let out = sys.run_profile_reference(&load, fast_cfg());
         prop_assume!(out.completed());
         prop_assert!(out.v_final >= out.v_min);
         prop_assert!(out.v_delta().get() >= 0.0);
@@ -49,7 +49,7 @@ proptest! {
         let mut sys = system(45.0, 3.3, v0);
         let e0 = sys.buffer().stored_energy();
         let load = LoadProfile::constant("p", Amps::from_milli(i_ma), Seconds::from_milli(w_ms));
-        let out = sys.run_profile(&load, fast_cfg());
+        let out = sys.run_profile_reference(&load, fast_cfg());
         prop_assume!(out.completed());
         let e1 = sys.buffer().stored_energy();
         let actual = e1 - e0;
@@ -71,8 +71,8 @@ proptest! {
         let load = LoadProfile::constant("p", Amps::from_milli(i_ma), Seconds::from_milli(5.0));
         let mut lo = system(45.0, esr_lo, 2.45);
         let mut hi = system(45.0, esr_lo + esr_extra, 2.45);
-        let out_lo = lo.run_profile(&load, fast_cfg());
-        let out_hi = hi.run_profile(&load, fast_cfg());
+        let out_lo = lo.run_profile_reference(&load, fast_cfg());
+        let out_hi = hi.run_profile_reference(&load, fast_cfg());
         prop_assume!(out_lo.completed() && out_hi.completed());
         prop_assert!(out_hi.v_min <= out_lo.v_min);
     }
@@ -86,8 +86,8 @@ proptest! {
         let w = Seconds::from_milli(5.0);
         let mut a = system(45.0, 3.3, 2.45);
         let mut b = system(45.0, 3.3, 2.45);
-        let out_a = a.run_profile(&LoadProfile::constant("a", Amps::from_milli(i_lo), w), fast_cfg());
-        let out_b = b.run_profile(
+        let out_a = a.run_profile_reference(&LoadProfile::constant("a", Amps::from_milli(i_lo), w), fast_cfg());
+        let out_b = b.run_profile_reference(
             &LoadProfile::constant("b", Amps::from_milli(i_lo + i_extra), w),
             fast_cfg(),
         );
@@ -105,8 +105,8 @@ proptest! {
         let load = LoadProfile::constant("p", Amps::from_milli(i_ma), Seconds::from_milli(20.0));
         let mut small = system(c_lo, 3.3, 2.45);
         let mut big = system(c_lo + c_extra, 3.3, 2.45);
-        let out_s = small.run_profile(&load, fast_cfg());
-        let out_b = big.run_profile(&load, fast_cfg());
+        let out_s = small.run_profile_reference(&load, fast_cfg());
+        let out_b = big.run_profile_reference(&load, fast_cfg());
         prop_assume!(out_s.completed() && out_b.completed());
         // Same ESR ⇒ similar instantaneous drop, but the energy droop is
         // smaller for the bigger bank, so its final voltage is higher.
@@ -124,18 +124,19 @@ proptest! {
         let load = LoadProfile::constant("p", Amps::from_milli(i_ma), Seconds::from_milli(10.0));
         let mut a = system(45.0, 3.3, v_lo);
         let mut b = system(45.0, 3.3, v_lo + dv);
-        let out_a = a.run_profile(&load, fast_cfg());
-        let out_b = b.run_profile(&load, fast_cfg());
+        let out_a = a.run_profile_reference(&load, fast_cfg());
+        let out_b = b.run_profile_reference(&load, fast_cfg());
         prop_assume!(out_a.completed() && out_b.completed());
         prop_assert!(out_b.v_min >= out_a.v_min - Volts::from_micro(10.0));
     }
 
-    /// `summary_only` is purely an output-shape option: a run that skips
-    /// trace recording reports bit-identical `(v_min, t_min, v_final,
-    /// brownout, collapsed)` to the same run with a full trace — and both
-    /// agree with what the trace itself would report as its minimum.
+    /// On the reference loop, recording is purely an output-shape option:
+    /// a run that records no trace reports bit-identical `(v_min, t_min,
+    /// v_final, brownout, collapsed)` to the same run with a full trace —
+    /// and both agree with what the trace itself would report as its
+    /// minimum.
     #[test]
-    fn summary_only_matches_full_trace(
+    fn reference_trace_is_output_shape_only(
         i_ma in 1.0..60.0f64,
         w_ms in 1.0..60.0f64,
         burst_ma in 0.0..30.0f64,
@@ -154,13 +155,13 @@ proptest! {
             .build();
         let full_cfg = RunConfig {
             dt: Seconds::from_micro(50.0),
-            record_stride: 4,
+            record_stride: Some(4),
             ..RunConfig::default()
         };
         let mut a = system(45.0, 3.3, v0);
         let mut b = system(45.0, 3.3, v0);
-        let full = a.run_profile(&load, full_cfg);
-        let summary = b.run_profile(&load, full_cfg.without_trace());
+        let full = a.run_profile_reference(&load, full_cfg);
+        let summary = b.run_profile_reference(&load, full_cfg.without_trace());
         prop_assert_eq!(full.v_start, summary.v_start);
         prop_assert_eq!(full.v_min, summary.v_min);
         prop_assert_eq!(full.t_min, summary.t_min);
@@ -184,7 +185,7 @@ proptest! {
     ) {
         let mut sys = system(45.0, 3.3, v0);
         let load = LoadProfile::constant("p", Amps::from_milli(i_ma), Seconds::from_milli(200.0));
-        let out = sys.run_profile(&load, fast_cfg());
+        let out = sys.run_profile_reference(&load, fast_cfg());
         if out.brownout.is_some() {
             // After a brownout the monitor refuses delivery.
             let next = sys.step(Amps::from_milli(1.0), Seconds::from_micro(50.0));

@@ -144,7 +144,7 @@ pub fn replay_on(
     v_start: Volts,
 ) -> ReplayOutcome {
     let idle_dt = Seconds::from_milli(1.0);
-    let mut cfg = RunConfig::coarse().without_trace();
+    let mut cfg = RunConfig::coarse();
     cfg.settle_timeout = Seconds::ZERO;
     sys.set_buffer_voltage(v_start);
     sys.force_output_enabled();

@@ -128,7 +128,7 @@ proptest! {
                 )));
             }
         };
-        let cfg = RunConfig::coarse().without_trace();
+        let cfg = RunConfig::coarse();
         for k in 0..3u64 {
             let mut oracle = PathOracle::new(seed.wrapping_mul(3).wrapping_add(k));
             let path = lower_path(&graph, m.v_out(), &mut oracle)
@@ -249,6 +249,6 @@ fn degenerate_single_block_graph_round_trips() {
     let mut sys = plant_from_model(&m);
     sys.set_buffer_voltage(m.v_high());
     sys.force_output_enabled();
-    let out = sys.run_profile(&path.profile, RunConfig::coarse().without_trace());
+    let out = sys.run_profile(&path.profile, RunConfig::coarse());
     assert!(out.brownout.is_none() && !out.collapsed);
 }
