@@ -14,7 +14,7 @@ use serde::Serialize;
 /// One named phase and the wall-clock seconds it took.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Phase {
-    /// Phase name (e.g. `"characterize"`, `"ground-truth+predictions"`).
+    /// Phase name (e.g. `"characterize"`, `"study"`).
     pub name: String,
     /// Wall-clock duration of the phase in seconds.
     pub seconds: f64,

@@ -11,9 +11,8 @@ use culpeo_exec::{PhaseClock, Sweep, Telemetry};
 use culpeo_loadgen::synthetic::fig6_loads;
 use serde::Serialize;
 
-use crate::ground_truth::true_vsafe_batch;
 use crate::systems::VsafeSystem;
-use crate::{error_percent_of_range, reference_plant};
+use crate::{error_percent_of_range, reference_plant, study};
 
 /// The systems Figure 6 compares.
 pub const FIG6_SYSTEMS: [VsafeSystem; 3] = [
@@ -39,8 +38,8 @@ pub struct Fig06Row {
 }
 
 /// Runs the Figure 6 comparison over the 12 synthetic loads, with phase
-/// telemetry: ground truth for all loads first, then one sweep cell per
-/// load with its three predictions.
+/// telemetry: characterization, then the study (one sweep cell per load
+/// with its ground truth and three predictions).
 #[must_use]
 pub fn run(sweep: Sweep) -> (Vec<Fig06Row>, Telemetry) {
     crate::preflight::require_clean_reference();
@@ -49,28 +48,17 @@ pub fn run(sweep: Sweep) -> (Vec<Fig06Row>, Telemetry) {
     let range = model.operating_range();
     clock.mark("characterize");
     let loads = fig6_loads();
-    let truths = true_vsafe_batch("reference", &reference_plant, &loads);
-    clock.mark("ground-truth-batch");
-    let per_load = sweep.map(&loads, |i, load| {
-        let Some(truth) = truths[i] else {
-            return Vec::new();
-        };
-        FIG6_SYSTEMS
-            .iter()
-            .filter_map(|&system| {
-                let predicted = system.predict(load, &model, &reference_plant)?;
-                Some(Fig06Row {
-                    load: load.label().to_string(),
-                    system: system.label().to_string(),
-                    true_vsafe: truth.get(),
-                    predicted_vsafe: predicted.get(),
-                    error_pct: error_percent_of_range(truth - predicted, range).get(),
-                })
-            })
-            .collect::<Vec<_>>()
-    });
-    clock.mark("ground-truth+predictions");
-    let rows = per_load.into_iter().flatten().collect();
+    let outcomes = study::run(sweep, &reference_plant, &model, &loads, &FIG6_SYSTEMS);
+    clock.mark("study");
+    let rows = study::cells(&loads, &FIG6_SYSTEMS, outcomes)
+        .map(|(load, system, truth, predicted)| Fig06Row {
+            load: load.label().to_string(),
+            system: system.label().to_string(),
+            true_vsafe: truth.get(),
+            predicted_vsafe: predicted.get(),
+            error_pct: error_percent_of_range(truth - predicted, range).get(),
+        })
+        .collect();
     (rows, clock.finish())
 }
 

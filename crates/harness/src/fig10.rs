@@ -11,9 +11,8 @@ use culpeo_exec::{PhaseClock, Sweep, Telemetry};
 use culpeo_loadgen::LoadProfile;
 use serde::Serialize;
 
-use crate::ground_truth::true_vsafe_batch;
 use crate::systems::VsafeSystem;
-use crate::{error_percent_of_range, reference_plant};
+use crate::{error_percent_of_range, reference_plant, study};
 
 /// The systems Figure 10 compares.
 pub const FIG10_SYSTEMS: [VsafeSystem; 4] = [
@@ -40,9 +39,10 @@ pub struct Fig10Row {
 
 /// Runs the Figure 10 comparison of all four systems over `loads` (the
 /// paper's figure uses [`culpeo_loadgen::synthetic::fig10_loads`]), with
-/// phase telemetry — ground truth for all loads first, then one sweep
-/// cell per load with its four predictions. The determinism tests run a
-/// short subset serially and in parallel and require byte-identical rows.
+/// phase telemetry: characterization, then the study (one sweep cell per
+/// load with its ground truth and four predictions). The determinism
+/// tests run a short subset serially and in parallel and require
+/// byte-identical rows.
 #[must_use]
 pub fn run(sweep: Sweep, loads: &[LoadProfile]) -> (Vec<Fig10Row>, Telemetry) {
     crate::preflight::require_clean_reference();
@@ -50,30 +50,17 @@ pub fn run(sweep: Sweep, loads: &[LoadProfile]) -> (Vec<Fig10Row>, Telemetry) {
     let model = PowerSystemModel::characterize(&reference_plant);
     let range = model.operating_range();
     clock.mark("characterize");
-    // Ground truth for the whole grid up front, bitwise the plain
-    // bisection's (`true_vsafe`).
-    let truths = true_vsafe_batch("reference", &reference_plant, loads);
-    clock.mark("ground-truth-batch");
-    let per_load = sweep.map(loads, |i, load| {
-        let Some(truth) = truths[i] else {
-            return Vec::new();
-        };
-        FIG10_SYSTEMS
-            .iter()
-            .filter_map(|&system| {
-                let predicted = system.predict(load, &model, &reference_plant)?;
-                Some(Fig10Row {
-                    load: load.label().to_string(),
-                    system: system.label().to_string(),
-                    true_vsafe: truth.get(),
-                    predicted_vsafe: predicted.get(),
-                    error_pct: error_percent_of_range(predicted - truth, range).get(),
-                })
-            })
-            .collect::<Vec<_>>()
-    });
-    clock.mark("ground-truth+predictions");
-    let rows = per_load.into_iter().flatten().collect();
+    let outcomes = study::run(sweep, &reference_plant, &model, loads, &FIG10_SYSTEMS);
+    clock.mark("study");
+    let rows = study::cells(loads, &FIG10_SYSTEMS, outcomes)
+        .map(|(load, system, truth, predicted)| Fig10Row {
+            load: load.label().to_string(),
+            system: system.label().to_string(),
+            true_vsafe: truth.get(),
+            predicted_vsafe: predicted.get(),
+            error_pct: error_percent_of_range(predicted - truth, range).get(),
+        })
+        .collect();
     (rows, clock.finish())
 }
 

@@ -8,8 +8,8 @@
 //! against the simulated plant, to a 5 mV tolerance.
 //!
 //! [`true_vsafe`] is that bisection, literally, and stays the oracle.
-//! [`true_vsafe_batch`] and [`true_vsafe_cached`] return its bits from
-//! fewer simulations with a margin-guided search:
+//! [`search`] returns its bits from fewer simulations with a
+//! margin-guided search:
 //!
 //! - **Tree nodes only.** Every probe is a node of the plain bisection's
 //!   own tree: a voltage the bisection's lerp chain from
@@ -47,11 +47,11 @@
 //! node lies outside the open final leaf, so the lowest completing and
 //! the highest failing probe are exactly its two ends.
 //!
-//! *Cache.* The figure drivers, the benchmark and the tests ask for the
-//! same ground truth repeatedly, so results are cached process-wide by
-//! plant key, then load fingerprint. Results, not verdicts: the jumps
-//! read each probe's minimum voltage, which a verdict cache could not
-//! replay.
+//! *Cache.* [`search`] keeps no state. [`true_vsafe_batch`] and
+//! [`true_vsafe_cached`] run it through a process-wide result cache, by
+//! a caller-chosen plant key, then load fingerprint. No crate in this
+//! workspace calls them: they are kept for the benchmark package's
+//! `vsafe-sweep`, until that runs on [`crate::study`].
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -131,16 +131,24 @@ pub fn true_vsafe(
     Some(hi)
 }
 
-/// [`true_vsafe`]'s result for `load` under `plant_key`: the one-load
-/// case of [`true_vsafe_batch`].
+/// [`true_vsafe`]'s result for `load`, bitwise, from the margin-guided
+/// search of the module docs.
 ///
-/// The figure drivers ask for the same ground truth many times (every
-/// estimator sharing a plant compares against it, and the test suite
-/// invokes each driver repeatedly). A search's result is a pure function
-/// of the plant and the load, so it is cached globally. `plant_key` must
-/// uniquely identify what `make_system` builds; callers that mutate a
-/// shared plant family (aging sweeps, bank reconfiguration) must fold
-/// those parameters into the key.
+/// Builds one reference plant, for `V_off` and `V_high`, and one plant
+/// per simulated probe. Nothing is cached: two calls search twice.
+#[must_use]
+pub fn search(make_system: &(dyn Fn() -> PowerSystem + Sync), load: &LoadProfile) -> Option<Volts> {
+    let reference = make_system();
+    let monitor = reference.monitor();
+    guided_vsafe(make_system, load, monitor.v_off(), monitor.v_high())
+}
+
+/// [`search`]'s result for `load` under `plant_key`, through the result
+/// cache: the one-load case of [`true_vsafe_batch`].
+///
+/// Kept for the benchmark package (see the module docs). `plant_key`
+/// must uniquely identify what `make_system` builds: two plants under
+/// one key are served each other's results.
 #[must_use]
 pub fn true_vsafe_cached(
     plant_key: &str,
@@ -150,8 +158,8 @@ pub fn true_vsafe_cached(
     true_vsafe_batch(plant_key, make_system, std::slice::from_ref(load))[0]
 }
 
-/// [`true_vsafe`] over a whole load grid, bitwise, through the result
-/// cache and the margin-guided search (see the module docs).
+/// [`search`] over a whole load grid, through the result cache. Kept
+/// for the benchmark package (see the module docs).
 ///
 /// Builds one reference plant per call, for `V_off` and `V_high`, and
 /// one plant per simulated probe; a load found in the cache under
@@ -315,8 +323,8 @@ fn guided_vsafe(
     }
 }
 
-/// Empties the global result cache (bench/test hook: honest cold-cache
-/// timings, and determinism tests that must re-run the full search).
+/// Empties the global result cache, for cold-cache benchmark timings.
+/// Kept for the benchmark package (see the module docs).
 pub fn clear_truth_cache() {
     truth_cache().lock().expect(UNPOISONED).clear();
 }

@@ -33,6 +33,7 @@ pub mod race;
 pub mod reconfig;
 pub mod repro;
 pub mod store;
+pub mod study;
 pub mod systems;
 pub mod verify;
 pub mod wcec;

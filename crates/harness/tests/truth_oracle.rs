@@ -1,9 +1,10 @@
 //! Ground truth: the guided search ≡ the plain bisection.
 //!
-//! `true_vsafe_batch` and `true_vsafe_cached` place their probes by the
-//! completing probes' dips and infer most midpoints' verdicts, while
-//! `true_vsafe` simulates every midpoint of the plain bisection. This
-//! suite checks that they return the *same bits* on generated loads
+//! `search` (and `true_vsafe_batch` and `true_vsafe_cached`, which run it
+//! through the result cache) place their probes by the completing probes'
+//! dips and infer most midpoints' verdicts, while `true_vsafe` simulates
+//! every midpoint of the plain bisection. This suite checks that they
+//! return the *same bits* on generated loads
 //! (uniform pulses, pulses with a compute tail, ramps, bursts, and noisy
 //! gesture, BLE and MNIST envelopes) and on a zero-current and an
 //! infeasible load, on four plants: the two-branch reference, the
@@ -17,7 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use culpeo_harness::aging::aged_plant;
 use culpeo_harness::ground_truth::{
-    completes_from, true_vsafe, true_vsafe_batch, true_vsafe_cached, TOLERANCE,
+    completes_from, search, true_vsafe, true_vsafe_batch, true_vsafe_cached, TOLERANCE,
 };
 use culpeo_harness::reference_plant;
 use culpeo_loadgen::peripheral::{BleRadio, GestureSensor, MnistAccelerator};
@@ -145,6 +146,8 @@ fn check_plant(key: &str, make: MakeSystem, loads: &[LoadProfile]) {
             .collect::<Vec<_>>()
     };
     assert_eq!(bits(&batch), bits(&plain), "{key}: batch vs plain");
+    let searched: Vec<Option<Volts>> = loads.iter().map(|l| search(&make, l)).collect();
+    assert_eq!(bits(&searched), bits(&plain), "{key}: search vs plain");
     for (load, &expect) in loads.iter().zip(&plain) {
         let cached = true_vsafe_cached(key, &make, load);
         assert_eq!(bits(&[cached]), bits(&[expect]), "{key}: cached vs plain");
@@ -245,6 +248,37 @@ fn a_warm_call_builds_one_plant_and_simulates_nothing() {
         plants_built("oracle-count", reference_plant, &loads[2..3]),
         1
     );
+}
+
+/// Plants one `search` call builds.
+fn plants_searched(make: MakeSystem, load: &LoadProfile) -> usize {
+    let built = AtomicUsize::new(0);
+    let counted = || {
+        built.fetch_add(1, Ordering::Relaxed);
+        make()
+    };
+    let _ = search(&counted, load);
+    built.load(Ordering::Relaxed)
+}
+
+#[test]
+fn a_search_builds_one_reference_plant_and_one_per_probe() {
+    // The infeasible load stops at its failing V_high probe.
+    assert_eq!(plants_searched(reference_plant, &edge_loads()[1]), 2);
+    for load in culpeo_loadgen::synthetic::fig10_loads().iter().take(6) {
+        let n = plants_searched(reference_plant, load);
+        // At least the V_high probe, and no more than the plain search's
+        // nine.
+        assert!(n > 1 && n <= 1 + 9, "{}: {n}", load.label());
+        // The same probes as a cold batch of one, which builds one
+        // reference plant per call; and nothing is cached between calls.
+        let key = format!("oracle-search-count {}", load.label());
+        assert_eq!(
+            plants_built(&key, reference_plant, std::slice::from_ref(load)),
+            n
+        );
+        assert_eq!(plants_searched(reference_plant, load), n);
+    }
 }
 
 /// On the tiny bank the first guess misses by tens of millivolts, and

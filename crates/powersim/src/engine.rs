@@ -415,10 +415,8 @@ impl PowerSystem {
         // Forward-only cursor: query times are k·dt, strictly increasing,
         // so the per-step segment lookup is amortised O(1).
         let mut load = profile.cursor();
-        // Running minimum, tracked here rather than read back from the
-        // trace: same strict-< / first-occurrence rule as
-        // `VoltageTrace::minimum`, but independent of whether a trace
-        // exists at all.
+        // Running minimum over every step, strict-< so the first
+        // occurrence wins; the trace, if any, is decimated and keeps none.
         let mut phase = LoadPhase {
             v_min: Volts::new(f64::MAX),
             t_min: Seconds::ZERO,

@@ -1282,7 +1282,9 @@ mod tests {
         Amps::from_milli(v)
     }
 
-    fn compare(sys: &PowerSystem, profile: &LoadProfile, cfg: RunConfig) {
+    /// Runs `profile` on both kernels, checks they agree, and returns the
+    /// event kernel's outcome.
+    fn compare(sys: &PowerSystem, profile: &LoadProfile, cfg: RunConfig) -> RunOutcome {
         let mut fixed_sys = sys.clone();
         let mut event_sys = sys.clone();
         assert!(
@@ -1315,6 +1317,7 @@ mod tests {
             (fixed_sys.v_node() - event_sys.v_node()).abs().get() < 1e-9,
             "plant state diverged"
         );
+        event
     }
 
     fn probe_cfg() -> RunConfig {
@@ -1334,10 +1337,15 @@ mod tests {
 
     #[test]
     fn matches_fixed_step_on_brownout() {
+        // Output forced on and a start well above V_off: the event kernel
+        // commits chunks for milliseconds before the brownout.
         let mut sys = PowerSystem::capybara();
-        sys.set_buffer_voltage(Volts::new(1.75));
+        sys.force_output_enabled();
+        sys.set_buffer_voltage(Volts::new(2.0));
         let profile = LoadProfile::constant("lora", ma(50.0), Seconds::from_milli(100.0));
-        compare(&sys, &profile, probe_cfg());
+        let out = compare(&sys, &profile, probe_cfg());
+        let t = out.brownout.expect("the load browns out");
+        assert!(t > Seconds::from_milli(5.0), "brownout at {t}");
     }
 
     #[test]
