@@ -13,6 +13,11 @@
 //!
 //! Tests and long experiment drivers run their simulations through the
 //! auditor; a violation is a bug in the plant, never in the workload.
+//!
+//! The conservation audit reads the plant's itemized ledger, which only
+//! literal [`PowerSystem::step`]s keep: the event kernel's chunks meter
+//! delivered energy alone. The auditor steps literally itself and refuses
+//! a plant that has already committed a chunk.
 
 use culpeo_units::{Amps, Joules, Seconds};
 
@@ -82,9 +87,17 @@ pub struct Auditor<'a> {
 
 impl<'a> Auditor<'a> {
     /// Starts auditing `sys` with the default 0.2 % energy tolerance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sys` has no itemized ledger
+    /// ([`PowerSystem::ledger`] is `None`): it has taken event-kernel
+    /// chunks, so conservation cannot be audited from here.
     pub fn new(sys: &'a mut PowerSystem) -> Self {
         let e_start = sys.buffer().stored_energy();
-        let ledger_start = sys.ledger();
+        let ledger_start = sys
+            .ledger()
+            .expect("the auditor needs a plant that has taken literal steps only");
         let was_recharging = !sys.monitor().output_enabled();
         Self {
             sys,
@@ -129,12 +142,11 @@ impl<'a> Auditor<'a> {
         let mut violations = self.violations;
         let e_end = self.sys.buffer().stored_energy();
         let actual = e_end - self.e_start;
-        let mut ledger = self.sys.ledger();
-        ledger.delivered -= self.ledger_start.delivered;
-        ledger.esr_loss -= self.ledger_start.esr_loss;
-        ledger.booster_loss -= self.ledger_start.booster_loss;
-        ledger.leakage_loss -= self.ledger_start.leakage_loss;
-        ledger.harvested -= self.ledger_start.harvested;
+        let ledger = self
+            .sys
+            .ledger()
+            .expect("the auditor steps literally")
+            .delta(&self.ledger_start);
         let expected = ledger.expected_storage_delta();
         let tol = self.e_start.get().abs() * self.tolerance + 1e-9;
         if (actual.get() - expected.get()).abs() > tol {
@@ -186,6 +198,20 @@ mod tests {
         }
         let violations = audit.finish();
         assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "literal steps only")]
+    fn refuses_a_plant_that_took_chunks() {
+        let mut sys = PowerSystem::capybara();
+        sys.set_buffer_voltage(V::new(2.3));
+        let load = culpeo_loadgen::LoadProfile::constant(
+            "task",
+            Amps::from_milli(10.0),
+            Seconds::from_milli(20.0),
+        );
+        let _ = sys.run_profile(&load, crate::RunConfig::coarse());
+        let _ = Auditor::new(&mut sys);
     }
 
     #[test]

@@ -8,6 +8,13 @@ use culpeo_units::Joules;
 /// harvested energy minus delivered energy minus losses — is the property
 /// tests' anchor: if the plant leaks energy numerically, every `V_safe`
 /// comparison downstream is suspect.
+///
+/// Only literal [`crate::PowerSystem::step`]s itemize every field. The
+/// event kernel's chunks meter `delivered` alone, so a plant that has
+/// committed one reports no ledger ([`crate::PowerSystem::ledger`] is
+/// `None`) and its delivered energy through
+/// [`crate::PowerSystem::delivered`]. Conservation is audited on literal
+/// steps: the [`crate::Auditor`] and the fixed-step property tests.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyLedger {
     /// Energy delivered to the load at the regulated output.

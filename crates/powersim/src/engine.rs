@@ -13,7 +13,7 @@ use crate::{
 ///
 /// The system is stepped at fixed `dt`; each step solves the buffer node,
 /// advances the capacitors, updates the monitor's hysteresis, and keeps the
-/// energy ledger. Higher layers either drive [`PowerSystem::step`]
+/// itemized energy ledger. Higher layers either drive [`PowerSystem::step`]
 /// directly (the scheduler does) or hand a whole [`LoadProfile`] to
 /// [`PowerSystem::run_profile`].
 #[derive(Debug, Clone, PartialEq)]
@@ -24,7 +24,11 @@ pub struct PowerSystem {
     monitor: VoltageMonitor,
     time: Seconds,
     last_v_node: Volts,
+    /// Every step's energy movements. Event-kernel chunks add only to
+    /// `delivered` and clear `itemized`, after which the other fields no
+    /// longer account for every step and [`PowerSystem::ledger`] is `None`.
     ledger: EnergyLedger,
+    itemized: bool,
     hint: SolverHint,
 }
 
@@ -158,8 +162,11 @@ pub struct RunOutcome {
     pub brownout: Option<Seconds>,
     /// True if the rail electrically collapsed at some step.
     pub collapsed: bool,
-    /// Energy movements over this run (including the settle phase).
-    pub ledger: EnergyLedger,
+    /// Energy movements over this run (including the settle phase): `Some`
+    /// when every step the plant has taken was a literal
+    /// [`PowerSystem::step`], `None` once the event kernel has committed a
+    /// chunk (see [`PowerSystem::ledger`]).
+    pub ledger: Option<EnergyLedger>,
 }
 
 impl RunOutcome {
@@ -255,10 +262,21 @@ impl PowerSystem {
         self.time
     }
 
-    /// The cumulative energy ledger.
+    /// The cumulative itemized energy ledger: `Some` while every step the
+    /// plant has taken was a literal [`PowerSystem::step`], and `None` for
+    /// good once the event kernel commits a chunk. Chunks meter only the
+    /// delivered energy ([`PowerSystem::delivered`]); they do not itemize
+    /// losses or harvest.
     #[must_use]
-    pub fn ledger(&self) -> EnergyLedger {
-        self.ledger
+    pub fn ledger(&self) -> Option<EnergyLedger> {
+        self.itemized.then_some(self.ledger)
+    }
+
+    /// The cumulative energy delivered to the load at the regulated
+    /// output, on either kernel: `P_out·dt` per delivering step.
+    #[must_use]
+    pub fn delivered(&self) -> Joules {
+        self.ledger.delivered
     }
 
     /// The unloaded node voltage right now (what an idle ADC would read).
@@ -399,7 +417,7 @@ impl PowerSystem {
             brownout,
             collapsed: load.collapsed,
             // Report only this run's movements.
-            ledger: self.ledger.delta(&ledger_before),
+            ledger: self.ledger().map(|l| l.delta(&ledger_before)),
         }
     }
 
@@ -490,9 +508,11 @@ impl PowerSystem {
         self.time = Seconds::new(clock_after(self.time.get(), dt, steps));
     }
 
-    /// Ledger access for the event kernel's closed-form chunk sums.
-    pub(crate) fn ledger_mut(&mut self) -> &mut EnergyLedger {
-        &mut self.ledger
+    /// Chunk-advance bookkeeping for the event kernel: meters a chunk's
+    /// delivered energy, which ends the itemized ledger.
+    pub(crate) fn meter_chunk(&mut self, delivered: Joules) {
+        self.ledger.delivered += delivered;
+        self.itemized = false;
     }
 
     /// Runs unloaded (charging if a harvester is set) for a fixed duration.
@@ -667,6 +687,7 @@ impl PowerSystemBuilder {
             time: Seconds::ZERO,
             last_v_node: v0,
             ledger: EnergyLedger::new(),
+            itemized: true,
             hint: SolverHint::default(),
         }
     }
@@ -918,12 +939,37 @@ mod tests {
         assert!(out.completed());
         let e1 = sys.buffer().stored_energy();
         let actual_delta = e1 - e0;
-        let expected_delta = out.ledger.expected_storage_delta();
+        let expected_delta = out
+            .ledger
+            .expect("a traced run takes literal steps")
+            .expected_storage_delta();
         let tol = e0.get() * 1e-4 + 1e-9;
         assert!(
             actual_delta.approx_eq(expected_delta, tol),
             "actual {actual_delta} vs ledger {expected_delta}"
         );
+    }
+
+    #[test]
+    fn ledger_is_itemized_until_a_chunk_commits() {
+        let mut sys = PowerSystem::capybara();
+        sys.set_buffer_voltage(Volts::new(2.4));
+        sys.step(ma(10.0), DEFAULT_DT);
+        assert!(sys.ledger().is_some(), "a literal step itemizes");
+        let profile = LoadProfile::constant("p", ma(25.0), Seconds::from_milli(20.0));
+        let cfg = RunConfig::coarse();
+        let reference = sys.clone().run_profile_reference(&profile, cfg);
+        assert!(reference.ledger.is_some());
+
+        let mut event = sys.clone();
+        let out = event.run_profile(&profile, cfg);
+        assert!(out.completed());
+        assert_eq!(out.ledger, None);
+        assert_eq!(event.ledger(), None);
+        // Literal steps after a chunk do not bring the ledger back.
+        event.step(ma(10.0), DEFAULT_DT);
+        assert_eq!(event.ledger(), None);
+        assert!(event.delivered() > sys.delivered());
     }
 
     #[test]

@@ -10,21 +10,20 @@
 //! supply intercept `S = Σ Vᵢ/Rᵢ + I_charge`, and `S` moves by microvolts
 //! per step. The kernel re-solves the node *once per chunk* (the anchor),
 //! expands `v(S)` to second order around it, and then advances whole spans
-//! of the dt grid with a ~30-flop inner loop: fold `S`, evaluate the
-//! Taylor, update the branch states, accumulate the ledger sums. The Taylor
-//! is re-anchored every `DELTA_V` of node movement, which keeps its
-//! truncation error near 1e-12 V — two to three orders below the 1e-9 V
-//! equivalence budget against the fixed-step loop,
-//! [`PowerSystem::run_profile_reference`].
+//! of the dt grid with a ~25-flop inner loop: fold `S`, evaluate the
+//! Taylor, update the branch states. The Taylor is re-anchored every
+//! `DELTA_V` of node movement, which keeps its truncation error near
+//! 1e-12 V — two to three orders below the 1e-9 V equivalence budget
+//! against the fixed-step loop, [`PowerSystem::run_profile_reference`].
 //!
 //! Single-branch chunks charged at constant power — every scheduler-trial
 //! plant — skip even the inner loop where they can: [`crate::stride`]
 //! solves the chunk's 2-D recurrence in closed form and jumps over its
 //! middle, loop-stepping only a short head and the tail that finds the
 //! bound exit. Strided chunks track the loop to 1e-12 V unloaded and
-//! 1e-11 V loaded, ledger sums to 1e-10 relative. Idle constant-power
-//! chunks on such plants keep the same `DELTA_V` window as loaded ones,
-//! which bounds the closed form's expansion of `p/v`.
+//! 1e-11 V loaded. Idle constant-power chunks on such plants keep the
+//! same `DELTA_V` window as loaded ones, which bounds the closed form's
+//! expansion of `p/v`.
 //!
 //! Crossings are never trusted to the analytic model: every chunk carries a
 //! guard band ([`GUARD_BAND_V`]) around each live threshold (`V_off` while
@@ -44,6 +43,12 @@
 //! dispatch table ([`run_chunk`]) onto one step body ([`ChunkLoop::step`]),
 //! before committing it. Runs are simulated one at a time: the chunk step
 //! is throughput-bound, so lock-stepping independent runs gains nothing.
+//!
+//! Chunks keep no itemized energy ledger. A committed chunk meters only
+//! the energy delivered to the load, which is exact in closed form
+//! (`P_out·dt` per delivering step), and from then on
+//! [`PowerSystem::ledger`] is `None`: conservation is audited on literal
+//! steps only ([`crate::Auditor`]).
 
 use std::borrow::Cow;
 
@@ -238,10 +243,12 @@ pub(crate) fn in_scope(sys: &PowerSystem, cfg: &RunConfig) -> bool {
 /// The event kernel's stepping facade over a [`PowerSystem`].
 ///
 /// Drives the same plant state as [`PowerSystem::step`] — afterwards the
-/// system's buffer voltages, monitor state, clock, and ledger are where a
-/// fixed-step caller would have left them (to ~1e-12 V idle, ~1e-11 V
-/// under load) — but advances quiet spans with the anchored-Taylor chunk
-/// loop, or its closed-form stride, instead of one Newton solve per step.
+/// system's buffer voltages, monitor state, clock, and delivered-energy
+/// meter are where a fixed-step caller would have left them (to ~1e-12 V
+/// idle, ~1e-11 V under load) — but advances quiet spans with the
+/// anchored-Taylor chunk loop, or its closed-form stride, instead of one
+/// Newton solve per step. Once a chunk commits, the plant keeps no
+/// itemized ledger ([`PowerSystem::ledger`] is `None`).
 /// Device models port their hand-rolled `step()` loops to
 /// [`EventStepper::run_const`]; `run_profile` goes through the internal
 /// piece planner.
@@ -249,11 +256,10 @@ pub struct EventStepper<'a> {
     sys: &'a mut PowerSystem,
     dt: f64,
     n: usize,
-    /// Per-branch 1/R, dt/C, leakage (A), and ESR (Ω).
+    /// Per-branch 1/R, dt/C and leakage (A).
     rinv: [f64; MAX_BRANCHES],
     dtc: [f64; MAX_BRANCHES],
     leak: [f64; MAX_BRANCHES],
-    esr: [f64; MAX_BRANCHES],
     g: f64,
     v_high: f64,
     v_off: f64,
@@ -277,7 +283,6 @@ impl<'a> EventStepper<'a> {
         let mut rinv = [0.0; MAX_BRANCHES];
         let mut dtc = [0.0; MAX_BRANCHES];
         let mut leak = [0.0; MAX_BRANCHES];
-        let mut esr = [0.0; MAX_BRANCHES];
         let mut g = 0.0;
         if capable {
             for (b, branch) in sys.buffer().branches().iter().enumerate() {
@@ -285,7 +290,6 @@ impl<'a> EventStepper<'a> {
                 rinv[b] = 1.0 / r;
                 dtc[b] = dt / branch.capacitance().get();
                 leak[b] = branch.leakage().get();
-                esr[b] = r;
                 g += 1.0 / r;
             }
         }
@@ -299,7 +303,6 @@ impl<'a> EventStepper<'a> {
             rinv,
             dtc,
             leak,
-            esr,
             g,
             v_high,
             v_off,
@@ -424,7 +427,7 @@ impl<'a> EventStepper<'a> {
                     }
                     run_chunk(&mut chunk, None);
                     self.commit_chunk(&chunk, &mut acc);
-                    done = chunk.sums.done;
+                    done = chunk.tally.done;
                 }
             }
             if done > 0 {
@@ -594,15 +597,15 @@ impl<'a> EventStepper<'a> {
         }
 
         // Anchor: exact node solve + local expansion v(S) ≈ v0 + β·dS + ½γ·dS².
-        let (v0, beta, gamma, eta0, eslope, p_out) = if delivering {
-            let sol = self
-                .sys
-                .buffer()
-                .solve_node(&booster, i_load, Amps::new(ic));
-            if sol.collapsed {
+        let (v0, beta, gamma, p_out) = if delivering {
+            let (v_node, _, collapsed) =
+                self.sys
+                    .buffer()
+                    .node_root(&booster, i_load, Amps::new(ic), None);
+            if collapsed {
                 return None;
             }
-            let v0 = sol.v_node.get();
+            let v0 = v_node.get();
             let p_out = (booster.v_out() * i_load).get();
             let curve = booster.efficiency();
             let (eta0, s) = curve.at_with_slope(Volts::new(v0));
@@ -626,10 +629,10 @@ impl<'a> EventStepper<'a> {
                 return None;
             }
             let beta = 1.0 / denom;
-            (v0, beta, -ddp * beta * beta * beta, eta0, s, p_out)
+            (v0, beta, -ddp * beta * beta * beta, p_out)
         } else {
             // Unloaded node: exact linear solve, the expansion is exact.
-            ((w0 + ic) / self.g, 1.0 / self.g, 0.0, 1.0, 0.0, 0.0)
+            ((w0 + ic) / self.g, 1.0 / self.g, 0.0, 0.0)
         };
 
         // Guard bounds: every live threshold plus the Taylor's own
@@ -654,8 +657,6 @@ impl<'a> EventStepper<'a> {
         }
 
         let t_base = self.sys.time().get();
-        let inv_eta0 = 1.0 / eta0;
-        let xs = eslope * inv_eta0;
         let prep = ChunkPrep {
             params: ChunkParams {
                 v0,
@@ -666,8 +667,6 @@ impl<'a> EventStepper<'a> {
                 hi,
                 delivering,
                 p_out,
-                inv_eta0,
-                xs,
                 p_pow,
                 ic0: ic,
                 v_prev: last_v,
@@ -684,32 +683,28 @@ impl<'a> EventStepper<'a> {
         Some(Chunk {
             prep,
             max_steps,
-            sums: ChunkSums::new(),
+            tally: ChunkTally::new(),
         })
     }
 
     /// Commits a chunk [`run_chunk`] has run: clock, last solved
-    /// voltage, ledger sums, branch charges, and the span accumulator. A
-    /// zero-step result commits nothing.
+    /// voltage, delivered energy, branch charges, and the span
+    /// accumulator. A zero-step result commits nothing.
     fn commit_chunk(&mut self, chunk: &Chunk, acc: &mut Acc) {
-        let Chunk { prep, sums, .. } = chunk;
-        let ChunkSums {
-            esr_sq,
-            leak_sum,
-            hsum,
-            bsum,
+        let Chunk { prep, tally, .. } = chunk;
+        let ChunkTally {
             v_last,
             v_min,
             k_min,
             done,
             ..
-        } = *sums;
+        } = *tally;
         if done == 0 {
             return;
         }
         self.counters.chunks += 1;
         self.counters.chunk_steps += done as u64;
-        self.counters.strided_chunks += u64::from(sums.strided);
+        self.counters.strided_chunks += u64::from(tally.strided);
         let dt = self.dt;
         if v_min < acc.v_min {
             acc.v_min = v_min;
@@ -718,24 +713,12 @@ impl<'a> EventStepper<'a> {
         }
         self.sys.advance_steps(done, dt);
         self.sys.set_last_v(Volts::new(v_last));
-        {
-            let led = self.sys.ledger_mut();
-            if prep.params.delivering {
-                led.delivered += Joules::new(prep.params.p_out * dt * done as f64);
-                led.booster_loss += Joules::new(bsum * dt);
-            }
-            // The constant-power loop folds each step's own current into
-            // `hsum`; the constant path defers the shared factor.
-            led.harvested += Joules::new(if prep.is_cp {
-                hsum * dt
-            } else {
-                hsum * prep.ic * dt
-            });
-            for b in 0..self.n {
-                led.esr_loss += Joules::new(esr_sq[b] * self.esr[b] * dt);
-                led.leakage_loss += Joules::new(leak_sum[b] * self.leak[b] * dt);
-            }
-        }
+        let delivered = if prep.params.delivering {
+            prep.params.p_out * dt * done as f64
+        } else {
+            0.0
+        };
+        self.sys.meter_chunk(Joules::new(delivered));
         for (b, branch) in self
             .sys
             .buffer_mut()
@@ -773,8 +756,6 @@ pub(crate) struct ChunkParams {
     pub(crate) hi: f64,
     pub(crate) delivering: bool,
     pub(crate) p_out: f64,
-    pub(crate) inv_eta0: f64,
-    pub(crate) xs: f64,
     /// Constant-power mode (`CP = true`): the power, the anchor's charge
     /// current `p/v_prev`, and the entry value of the previous-step
     /// voltage. Dead when the charge is constant.
@@ -786,13 +767,10 @@ pub(crate) struct ChunkParams {
     pub(crate) leak: [f64; MAX_BRANCHES],
 }
 
-/// Per-chunk accumulators the commit phase folds into the ledger.
+/// What a chunk's run reports to its commit: the last and lowest node
+/// voltages and the steps taken.
 #[derive(Clone, Copy)]
-pub(crate) struct ChunkSums {
-    pub(crate) esr_sq: [f64; MAX_BRANCHES],
-    pub(crate) leak_sum: [f64; MAX_BRANCHES],
-    pub(crate) hsum: f64,
-    pub(crate) bsum: f64,
+pub(crate) struct ChunkTally {
     pub(crate) v_last: f64,
     pub(crate) v_min: f64,
     pub(crate) k_min: usize,
@@ -801,14 +779,10 @@ pub(crate) struct ChunkSums {
     pub(crate) strided: bool,
 }
 
-impl ChunkSums {
-    /// Zeroed accumulators (`v_min` starts at `f64::MAX`).
+impl ChunkTally {
+    /// No steps yet (`v_min` starts at `f64::MAX`).
     pub(crate) fn new() -> Self {
         Self {
-            esr_sq: [0.0; MAX_BRANCHES],
-            leak_sum: [0.0; MAX_BRANCHES],
-            hsum: 0.0,
-            bsum: 0.0,
             v_last: 0.0,
             v_min: f64::MAX,
             k_min: 0,
@@ -819,13 +793,13 @@ impl ChunkSums {
 }
 
 /// An anchored chunk on its way through the kernel: prepared, run by
-/// [`run_chunk`] (which advances `prep.y` and fills `sums`), committed.
+/// [`run_chunk`] (which advances `prep.y` and fills `tally`), committed.
 #[derive(Clone, Copy)]
 pub(crate) struct Chunk {
     pub(crate) prep: ChunkPrep,
     /// Most grid steps the chunk may cover.
     pub(crate) max_steps: usize,
-    pub(crate) sums: ChunkSums,
+    pub(crate) tally: ChunkTally,
 }
 
 /// Runs one chunk: the event kernel's one dispatch table. It
@@ -848,7 +822,7 @@ fn run_chunk(chunk: &mut Chunk, observe: Option<&mut dyn FnMut(f64)>) {
 }
 
 fn run_shape<const N: usize, const CP: bool>(c: &mut Chunk, observe: Option<&mut dyn FnMut(f64)>) {
-    c.sums = if let Some(f) = observe {
+    c.tally = if let Some(f) = observe {
         chunk_loop::<N, CP, _>(&c.prep.params, &mut c.prep.y, c.max_steps, f)
     } else if N == 1 && CP {
         crate::stride::chunk_cp1(&c.prep.params, &mut c.prep.y, c.max_steps)
@@ -864,9 +838,9 @@ fn run_shape<const N: usize, const CP: bool>(c: &mut Chunk, observe: Option<&mut
 /// reference integrator's y − (i + leak)·dt/C), plus its fold into the
 /// intercept offset: ds' = Σ aw·y + bw·v + cwm. Expressing the recurrence
 /// this way keeps the loop-carried critical path to three fused
-/// multiply-adds (v → ds → v); branch updates and ledger sums fall off the
-/// path. Rounding differs from the reference by ~1 ulp per step (~1e-13 V
-/// over the longest chunk), far inside the budget.
+/// multiply-adds (v → ds → v); branch updates fall off the path.
+/// Rounding differs from the reference by ~1 ulp per step (~1e-13 V over
+/// the longest chunk), far inside the budget.
 #[derive(Clone, Copy)]
 struct ChunkLoop<const N: usize> {
     a: [f64; N],
@@ -879,16 +853,14 @@ struct ChunkLoop<const N: usize> {
     ds: f64,
     /// Constant-power mode: the reference evaluates `i = p/v` at the
     /// previous step's solved voltage, so the charge current is a second
-    /// loop-carried recurrence riding on v; `ds` keeps tracking only the
-    /// branch fold and the charge delta joins at evaluation time.
+    /// recurrence riding on v; `ds` keeps tracking only the branch fold and
+    /// the charge delta joins at evaluation time.
     vprev: f64,
-    ic: f64,
 }
 
 // Index loops over the first N slots of MAX_BRANCHES-sized arrays are
-// deliberate: N is the const-generic branch count, and the flagged "copy"
-// loop also folds the ledger sums.
-#[allow(clippy::needless_range_loop, clippy::manual_memcpy)]
+// deliberate: N is the const-generic branch count.
+#[allow(clippy::needless_range_loop)]
 impl<const N: usize> ChunkLoop<N> {
     #[inline(always)]
     fn new(p: &ChunkParams, y: &[f64; MAX_BRANCHES]) -> Self {
@@ -902,7 +874,6 @@ impl<const N: usize> ChunkLoop<N> {
             g2: 0.5 * p.gamma,
             ds: 0.0,
             vprev: p.v_prev,
-            ic: p.ic0,
         };
         for b in 0..N {
             l.bv[b] = p.rinv[b] * p.dtc[b];
@@ -921,20 +892,19 @@ impl<const N: usize> ChunkLoop<N> {
         l
     }
 
-    /// The ~25-flop cheap step: fold the supply intercept, evaluate the
-    /// anchored Taylor, advance the branch charges `y`, accumulate the
-    /// ledger sums. Returns the step's node voltage, or `None` — committing
-    /// nothing — at a guard-bound exit or branch-charge floor.
+    /// The cheap step: fold the supply intercept, evaluate the anchored
+    /// Taylor, advance the branch charges `y`. Returns the step's node
+    /// voltage, or `None` — committing nothing — at a guard-bound exit or
+    /// branch-charge floor.
     #[inline(always)]
     fn step<const CP: bool>(
         &mut self,
         p: &ChunkParams,
         y: &mut [f64; MAX_BRANCHES],
-        s: &mut ChunkSums,
+        s: &mut ChunkTally,
     ) -> Option<f64> {
         let dst = if CP {
-            self.ic = p.p_pow / self.vprev;
-            self.ds + (self.ic - p.ic0)
+            self.ds + (p.p_pow / self.vprev - p.ic0)
         } else {
             self.ds
         };
@@ -956,24 +926,10 @@ impl<const N: usize> ChunkLoop<N> {
         if floored {
             return None;
         }
-        for b in 0..N {
-            let ib = (y[b] - v) * p.rinv[b];
-            s.esr_sq[b] += ib * ib;
-            s.leak_sum[b] += y[b];
-            y[b] = ynew[b];
-        }
+        y[..N].copy_from_slice(&ynew);
         self.ds = self.bw * v + t_off;
         if CP {
-            s.hsum += v * self.ic;
             self.vprev = v;
-        } else {
-            s.hsum += v;
-        }
-        if p.delivering {
-            // 1/η expanded to second order around the anchor — the
-            // relative truncation is ~(s·δv/η)³ ≈ 1e-13.
-            let x = p.xs * (v - p.v0);
-            s.bsum += (p.p_out * (1.0 - x + x * x) * p.inv_eta0 - p.p_out).max(0.0);
         }
         if v < s.v_min {
             s.v_min = v;
@@ -992,8 +948,8 @@ pub(crate) fn chunk_loop<const N: usize, const CP: bool, F: FnMut(f64) + ?Sized>
     y: &mut [f64; MAX_BRANCHES],
     max_steps: usize,
     observe: &mut F,
-) -> ChunkSums {
-    let mut s = ChunkSums::new();
+) -> ChunkTally {
+    let mut s = ChunkTally::new();
     let mut l = ChunkLoop::<N>::new(p, y);
     while s.done < max_steps {
         let Some(v) = l.step::<CP>(p, y, &mut s) else {
@@ -1231,9 +1187,9 @@ impl<'p> PlanRun<'p> {
     /// chunk that committed nothing forces one real-step block.
     fn commit(&mut self, st: &mut EventStepper<'_>, chunk: &Chunk) {
         st.commit_chunk(chunk, &mut self.acc);
-        self.off += chunk.sums.done;
-        self.k += chunk.sums.done;
-        self.force_real = chunk.sums.done == 0;
+        self.off += chunk.tally.done;
+        self.k += chunk.tally.done;
+        self.force_real = chunk.tally.done == 0;
     }
 
     /// Runs the plan to its end, every chunk inline.

@@ -30,14 +30,16 @@
 //!   of the span end), and the loop's own bound check finds the breaking
 //!   step in the *tail*;
 //! * the node voltage must be provably monotone across the jump, so the
-//!   chunk minimum is one of the loop-stepped ends;
-//! * the ledger sums over the jumped steps integrate the same closed form
-//!   (Gauss–Legendre with the Euler–Maclaurin end correction).
+//!   chunk minimum is one of the loop-stepped ends.
+//!
+//! The jumped steps need nothing else: a chunk reports only its last and
+//! lowest node voltages and its step count, and its delivered energy is
+//! `P_out·dt` per step whichever way the steps were taken.
 //!
 //! Anything outside those conditions runs the plain loop from wherever
 //! the stride stands.
 
-use crate::event::{chunk_loop, ChunkParams, ChunkSums, MAX_BRANCHES};
+use crate::event::{chunk_loop, ChunkParams, ChunkTally, MAX_BRANCHES};
 
 /// Chunks shorter than this keep the loop: a stride's fixed cost (head,
 /// closed form, tail) is worth about this many loop steps.
@@ -60,10 +62,6 @@ const TRANSIENT_V: f64 = 1e-12;
 /// response expands `D(j)` to first order in `μ` and the slow kernel to
 /// third.
 const MAX_DRIFT: f64 = 0.05;
-
-/// Three-point Gauss–Legendre nodes and weights on `[−1, 1]`.
-const GL_X: [f64; 3] = [-0.774_596_669_241_483_4, 0.0, 0.774_596_669_241_483_4];
-const GL_W: [f64; 3] = [5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0];
 
 /// Length of a binomial-basis polynomial: `D` has degree 2, `D³` degree
 /// 6, and the slow kernel's convolution adds up to 4.
@@ -112,37 +110,9 @@ impl Bin {
     }
 }
 
-/// `Σ_{t=0}^{n−1} g(t)` for a `g` smooth on the scale of `n`: the
-/// midpoint-rule Euler–Maclaurin form `∫_{−½}^{n−½} g − Δg′/24`, with
-/// `Δg′ ≈ n·g″` and `g″` from the quadratic through the outer and middle
-/// Gauss–Legendre nodes.
-fn smooth_sum<const K: usize>(n: usize, g: impl Fn(f64) -> [f64; K]) -> [f64; K] {
-    let half = 0.5 * n as f64;
-    let mid = half - 0.5;
-    let mut out = [0.0; K];
-    let mut at = [[0.0; K]; 3];
-    for ((x, w), gi) in GL_X.iter().zip(GL_W).zip(&mut at) {
-        *gi = g(mid + half * x);
-        for (o, vi) in out.iter_mut().zip(*gi) {
-            *o += w * half * vi;
-        }
-    }
-    // Outer nodes sit ±h from the middle one.
-    let h = half * GL_X[2];
-    for i in 0..K {
-        let g2 = (at[0][i] - 2.0 * at[1][i] + at[2][i]) / (h * h);
-        out[i] -= 2.0 * half * g2 / 24.0;
-    }
-    out
-}
-
-/// Appends `tail`'s steps after `head`'s: sums add, the first strict
-/// minimum wins, the last step's voltage is the tail's when it has one.
-fn merge(head: &mut ChunkSums, tail: &ChunkSums) {
-    head.esr_sq[0] += tail.esr_sq[0];
-    head.leak_sum[0] += tail.leak_sum[0];
-    head.hsum += tail.hsum;
-    head.bsum += tail.bsum;
+/// Appends `tail`'s steps after `head`'s: the first strict minimum wins,
+/// the last step's voltage is the tail's when it has one.
+fn merge(head: &mut ChunkTally, tail: &ChunkTally) {
     if tail.done > 0 {
         if tail.v_min < head.v_min {
             head.v_min = tail.v_min;
@@ -154,18 +124,18 @@ fn merge(head: &mut ChunkSums, tail: &ChunkSums) {
 }
 
 /// Runs the loop from branch voltage `y[0]` and previous node voltage
-/// `v_prev` until `sums` covers `total` steps (or a bound exit),
-/// appending to `sums`.
+/// `v_prev` until `tally` covers `total` steps (or a bound exit),
+/// appending to `tally`.
 fn loop_into(
-    sums: &mut ChunkSums,
+    tally: &mut ChunkTally,
     p: &ChunkParams,
     v_prev: f64,
     y: &mut [f64; MAX_BRANCHES],
     total: usize,
 ) {
     let q = ChunkParams { v_prev, ..*p };
-    let rest = chunk_loop::<1, true, _>(&q, y, total - sums.done, &mut |_| {});
-    merge(sums, &rest);
+    let rest = chunk_loop::<1, true, _>(&q, y, total - tally.done, &mut |_| {});
+    merge(tally, &rest);
 }
 
 /// The single-branch map's constants, its affine part's spectral data,
@@ -435,23 +405,23 @@ impl Trajectory {
 
 /// A single-branch constant-power chunk, strided where the closed form
 /// is safe and looped elsewhere. Same contract as the loop it replaces:
-/// advances `y` and returns the chunk's sums, stopping before the first
+/// advances `y` and returns the chunk's tally, stopping before the first
 /// step that would leave `(lo, hi)`. `strided` says whether a jump was
 /// taken.
 pub(crate) fn chunk_cp1(
     p: &ChunkParams,
     y: &mut [f64; MAX_BRANCHES],
     max_steps: usize,
-) -> ChunkSums {
-    let mut sums = ChunkSums::new();
+) -> ChunkTally {
+    let mut tally = ChunkTally::new();
     let map = if max_steps < STRIDE_MIN_STEPS {
         None
     } else {
         Map::new(p, y[0])
     };
     let Some(map) = map else {
-        loop_into(&mut sums, p, p.v_prev, y, max_steps);
-        return sums;
+        loop_into(&mut tally, p, p.v_prev, y, max_steps);
+        return tally;
     };
     let y0 = y[0];
     let rinv = p.rinv[0];
@@ -464,11 +434,11 @@ pub(crate) fn chunk_cp1(
         amp *= map.lf.abs();
         head += 1;
     }
-    loop_into(&mut sums, p, p.v_prev, y, head);
-    let v_prev = sums.v_last;
-    if amp > TRANSIENT_V || sums.done < head {
-        loop_into(&mut sums, p, v_prev, y, max_steps);
-        return sums;
+    loop_into(&mut tally, p, p.v_prev, y, head);
+    let v_prev = tally.v_last;
+    if amp > TRANSIENT_V || tally.done < head {
+        loop_into(&mut tally, p, v_prev, y, max_steps);
+        return tally;
     }
 
     // Jump from the head's last state to TAIL steps short of the exit.
@@ -482,59 +452,40 @@ pub(crate) fn chunk_cp1(
         n = n.min((MAX_DRIFT / map.mu.abs()) as usize);
     }
     let nf = n as f64;
-    let traj = (n >= MIN_JUMP).then(|| Trajectory::new(&map, &slow));
-    let landed = traj.as_ref().map(|traj| traj.at(nf)).and_then(|xn| {
-        let y_j = y0 + xn[0];
-        let v_prev_j = p.p_pow / (xn[1] - (y_j * rinv - p.w0) + p.ic0);
-        let (v_j, _) = map.raw_step(p, y_j, v_prev_j);
-        // Monotone across the jump: D's slow part moves one way, E is
-        // increasing over the range, and neither the nonlinear correction
-        // nor the head's residual transient can turn it (their drift per
-        // step is far below D's).
-        let rising = slow.slope[1] > 0.0;
-        let nl_d = (xn[1] - slow.base[1] - map.phi(nf) * slow.slope[1]).abs();
-        let slowest = slow.slope[1].abs() * (nf * map.ln_slow).exp().min(1.0);
-        let monotone = (v_j > v_prev_j) == rising
-            && p.beta + 2.0 * map.g2 * x[1] > 0.0
-            && p.beta + 2.0 * map.g2 * xn[1] > 0.0
-            && slowest > 8.0 * nl_d / nf
-            && slowest * p.beta > 1e3 * TRANSIENT_V;
-        let inside = v_j > p.lo && v_j < p.hi && y_j > 0.0;
-        (monotone && inside).then_some((y_j, v_prev_j))
-    });
-    let (Some((y_j, v_prev_j)), Some(traj)) = (landed, traj) else {
-        loop_into(&mut sums, p, v_prev, y, max_steps);
-        return sums;
+    let landed = (n >= MIN_JUMP)
+        .then(|| Trajectory::new(&map, &slow).at(nf))
+        .and_then(|xn| {
+            let y_j = y0 + xn[0];
+            let v_prev_j = p.p_pow / (xn[1] - (y_j * rinv - p.w0) + p.ic0);
+            let (v_j, _) = map.raw_step(p, y_j, v_prev_j);
+            // Monotone across the jump: D's slow part moves one way, E is
+            // increasing over the range, and neither the nonlinear correction
+            // nor the head's residual transient can turn it (their drift per
+            // step is far below D's).
+            let rising = slow.slope[1] > 0.0;
+            let nl_d = (xn[1] - slow.base[1] - map.phi(nf) * slow.slope[1]).abs();
+            let slowest = slow.slope[1].abs() * (nf * map.ln_slow).exp().min(1.0);
+            let monotone = (v_j > v_prev_j) == rising
+                && p.beta + 2.0 * map.g2 * x[1] > 0.0
+                && p.beta + 2.0 * map.g2 * xn[1] > 0.0
+                && slowest > 8.0 * nl_d / nf
+                && slowest * p.beta > 1e3 * TRANSIENT_V;
+            let inside = v_j > p.lo && v_j < p.hi && y_j > 0.0;
+            (monotone && inside).then_some((y_j, v_prev_j))
+        });
+    let Some((y_j, v_prev_j)) = landed else {
+        loop_into(&mut tally, p, v_prev, y, max_steps);
+        return tally;
     };
 
-    // Ledger sums over the jumped steps: everything the loop folds is a
-    // function of the state, so integrate the closed form.
-    let y_v = y0 - p.v0;
-    let [ds, esr, hsum, bsum] = smooth_sum(n, |t| {
-        let [s, d] = traj.at(t);
-        let e = d * (p.beta + map.g2 * d);
-        let ib = (y_v + s - e) * rinv;
-        let ic = d - s * rinv + p.ic0;
-        let b = if p.delivering {
-            let xv = p.xs * e;
-            (p.p_out * (1.0 - xv + xv * xv) * p.inv_eta0 - p.p_out).max(0.0)
-        } else {
-            0.0
-        };
-        [s, ib * ib, (p.v0 + e) * ic, b]
-    });
-    sums.leak_sum[0] += nf * y0 + ds;
-    sums.esr_sq[0] += esr;
-    sums.hsum += hsum;
-    sums.bsum += bsum;
-    sums.done += n;
-    sums.v_last = v_prev_j;
+    tally.done += n;
+    tally.v_last = v_prev_j;
 
     // Tail: the loop finds the exit or runs out the span.
     y[0] = y_j;
-    loop_into(&mut sums, p, v_prev_j, y, max_steps);
-    sums.strided = true;
-    sums
+    loop_into(&mut tally, p, v_prev_j, y, max_steps);
+    tally.strided = true;
+    tally
 }
 
 #[cfg(test)]
@@ -548,8 +499,8 @@ mod tests {
     /// One prepared chunk run by the stride and by the loop. `looped` ran
     /// exactly the stride's step count; `free` is the loop's own exit.
     struct Pair {
-        stride: ChunkSums,
-        looped: ChunkSums,
+        stride: ChunkTally,
+        looped: ChunkTally,
         y_stride: f64,
         y_loop: f64,
         free: usize,
@@ -598,14 +549,10 @@ mod tests {
     }
 
     /// The accuracy contract: 1e-12 V unloaded and 1e-11 V loaded on the
-    /// committed branch voltage, last node voltage and minimum; ledger
-    /// sums within 1e-10 relative. A charge current balancing the load
-    /// leaves only rounding in the branch current, so the ESR sum's scale
-    /// is floored at 1 mA per step.
+    /// committed branch voltage, last node voltage and minimum.
     fn check(pair: &Pair, loaded: bool) -> Result<(), proptest::TestCaseError> {
         let tol = if loaded { 1e-11 } else { 1e-12 };
         let (s, l) = (&pair.stride, &pair.looped);
-        let near = |a: f64, b: f64, scale: f64| (a - b).abs() <= 1e-10 * scale.max(a.abs());
         // The jump may move the exit by a step when the loop's own
         // rounding straddles a bound.
         prop_assert!(
@@ -634,21 +581,6 @@ mod tests {
             l.v_min
         );
         prop_assert_eq!(s.k_min, l.k_min);
-        let esr_floor = s.done as f64 * 1e-6;
-        prop_assert!(
-            near(s.esr_sq[0], l.esr_sq[0], esr_floor),
-            "esr {} vs {}",
-            s.esr_sq[0],
-            l.esr_sq[0]
-        );
-        prop_assert!(
-            near(s.leak_sum[0], l.leak_sum[0], 0.0),
-            "leak {} vs {}",
-            s.leak_sum[0],
-            l.leak_sum[0]
-        );
-        prop_assert!(near(s.hsum, l.hsum, 0.0), "hsum {} vs {}", s.hsum, l.hsum);
-        prop_assert!(near(s.bsum, l.bsum, 0.0), "bsum {} vs {}", s.bsum, l.bsum);
         Ok(())
     }
 
@@ -711,7 +643,7 @@ mod tests {
                 .expect("chunk anchors")
                 .prep;
             let reps = 20_000;
-            let time = |f: &dyn Fn(&mut [f64; MAX_BRANCHES]) -> ChunkSums| {
+            let time = |f: &dyn Fn(&mut [f64; MAX_BRANCHES]) -> ChunkTally| {
                 let t0 = std::time::Instant::now();
                 let mut done = 0;
                 for _ in 0..reps {

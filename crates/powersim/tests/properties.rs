@@ -53,7 +53,10 @@ proptest! {
         prop_assume!(out.completed());
         let e1 = sys.buffer().stored_energy();
         let actual = e1 - e0;
-        let expected = out.ledger.expected_storage_delta();
+        let expected = out
+            .ledger
+            .expect("the reference loop itemizes every step")
+            .expected_storage_delta();
         let tol = e0.get() * 1e-3 + 1e-7;
         prop_assert!(
             actual.approx_eq(expected, tol),
