@@ -8,7 +8,7 @@
 //! plant.
 
 use culpeo_loadgen::LoadProfile;
-use culpeo_powersim::{PowerSystem, RunConfig};
+use culpeo_powersim::{EventStepper, PowerSystem, RunConfig, SpanEnd};
 use culpeo_units::{Seconds, Volts};
 
 /// When an intermittent runtime decides to launch a pending task.
@@ -80,7 +80,7 @@ pub fn run_to_completion_with(
     let mut failures = 0;
     while attempts < max_attempts {
         // Wait until the policy allows dispatch (or charging stalls).
-        let ready = wait_until_ready(sys, policy, dt, max_wait);
+        let ready = wait_until_ready(sys, policy, dt, max_wait.steps(dt));
         if !ready {
             break;
         }
@@ -106,26 +106,30 @@ pub fn run_to_completion_with(
     }
 }
 
-/// Advances the system until the dispatch policy is satisfied. Returns
-/// `false` if `max_wait` elapses first (insufficient harvest).
-fn wait_until_ready(
+/// Advances `sys` unloaded at step `dt` until `policy` allows a dispatch,
+/// checked before each of at most `max_steps` steps; `false` if it never
+/// does (insufficient harvest). Idle spans on the event kernel end where
+/// the verdict can change: the monitor's edge, the gate's level.
+pub fn wait_until_ready(
     sys: &mut PowerSystem,
     policy: DispatchPolicy,
     dt: Seconds,
-    max_wait: Seconds,
+    max_steps: usize,
 ) -> bool {
-    let steps = max_wait.steps(dt);
-    for _ in 0..steps {
-        let enabled = sys.monitor().output_enabled();
-        let v = sys.v_node();
-        let ready = match policy {
-            DispatchPolicy::Opportunistic => enabled,
-            DispatchPolicy::VsafeGated(v_safe) => enabled && v >= v_safe,
+    let mut left = max_steps;
+    let mut st = EventStepper::new(sys, dt);
+    while left > 0 {
+        let enabled = st.system().monitor().output_enabled();
+        let level = match policy {
+            DispatchPolicy::Opportunistic if enabled => return true,
+            DispatchPolicy::VsafeGated(v_safe) if enabled && st.v_node() >= v_safe => return true,
+            DispatchPolicy::VsafeGated(v_safe) if enabled => Some(v_safe),
+            _ => None,
         };
-        if ready {
-            return true;
-        }
-        sys.step(culpeo_units::Amps::ZERO, dt);
+        left -= match st.run_idle_until(left, level) {
+            SpanEnd::Completed => left,
+            SpanEnd::Broke { steps, .. } => steps,
+        };
     }
     false
 }

@@ -35,5 +35,5 @@ pub mod intermittent;
 pub use adc::Adc;
 pub use catnap::{measure_for_catnap, CatnapMeasurement};
 pub use isr::IsrProfiler;
-pub use profiler::{profile_task, Profiler, ProfilerKind};
+pub use profiler::{profile_task, Profiler};
 pub use uarch::{Command, MinMax, UArchBlock, UArchProfiler};

@@ -229,7 +229,7 @@ fn assert_matches_literal(sys: &PowerSystem, load: &LoadProfile) -> usize {
             bits(fast),
             bits(slow),
             "{:?} on {}: {fast:?} vs literal {slow:?}",
-            profiler.kind(),
+            profiler,
             load.label()
         );
         brownouts += usize::from(fast.is_none());

@@ -142,15 +142,6 @@ impl CurrentTrace {
         runs
     }
 
-    /// The frequency corresponding to [`dominant_pulse_width`]
-    /// (`f = 1 / width`), or `None` when no pulse exists.
-    ///
-    /// [`dominant_pulse_width`]: CurrentTrace::dominant_pulse_width
-    #[must_use]
-    pub fn dominant_frequency(&self) -> Option<Hertz> {
-        self.dominant_pulse_width().map(Seconds::frequency)
-    }
-
     /// Resamples to a new rate by zero-order hold (the value in effect at
     /// each new sample instant).
     ///
@@ -244,8 +235,6 @@ mod tests {
         // tail does not count.
         let w = t.dominant_pulse_width().unwrap();
         assert!(w.approx_eq(ms(10.0), 1.5e-3), "width = {w}");
-        let f = t.dominant_frequency().unwrap();
-        assert!((f.get() - 100.0).abs() < 20.0);
     }
 
     #[test]

@@ -262,6 +262,21 @@ impl PowerSystem {
         self.time
     }
 
+    /// The step count of the literal loop `while sys.time() < t {
+    /// sys.step(i, dt); }`, on the clock's own repeated sum (`t` finite).
+    #[must_use]
+    pub fn steps_until(&self, t: Seconds, dt: Seconds) -> usize {
+        let (now, t, dt) = (self.time.get(), t.get(), dt.get());
+        let mut n = ((t - now) / dt).ceil().max(0.0) as usize;
+        while n > 0 && clock_after(now, dt, n - 1) >= t {
+            n -= 1;
+        }
+        while clock_after(now, dt, n) < t {
+            n += 1;
+        }
+        n
+    }
+
     /// The cumulative itemized energy ledger: `Some` while every step the
     /// plant has taken was a literal [`PowerSystem::step`], and `None` for
     /// good once the event kernel commits a chunk. Chunks meter only the
@@ -515,15 +530,12 @@ impl PowerSystem {
         self.itemized = false;
     }
 
-    /// Runs unloaded (charging if a harvester is set) for a fixed duration.
-    /// Returns the node voltage at the end.
-    pub fn run_idle(&mut self, duration: Seconds, dt: Seconds) -> Volts {
+    /// Runs unloaded (charging if a harvester is set) for a fixed duration
+    /// on the event kernel, after which [`PowerSystem::ledger`] is `None`
+    /// if a chunk committed.
+    pub fn run_idle(&mut self, duration: Seconds, dt: Seconds) {
         let steps = duration.steps(dt);
-        let mut v = self.v_node();
-        for _ in 0..steps {
-            v = self.step(Amps::ZERO, dt).v_node;
-        }
-        v
+        let _ = EventStepper::new(self, dt).run_const(Amps::ZERO, steps, BreakOn::Never, None);
     }
 }
 
@@ -825,6 +837,30 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn steps_until_counts_the_literal_loop() {
+        for (t0, dt) in [
+            (0.0, 1e-4),
+            (0.37, 1e-4),
+            (123.456, 1e-4),
+            (7.0, 1e-3),
+            (1.0, 0.1),
+        ] {
+            for ahead in [-1.0, 0.0, 1e-9, 1e-4, 0.0123, 1.0, 8.0, 60.0] {
+                let t = t0 + ahead;
+                let mut sys = PowerSystem::capybara();
+                sys.time = Seconds::new(t0);
+                let got = sys.steps_until(Seconds::new(t), Seconds::new(dt));
+                let (mut clock, mut want) = (t0, 0);
+                while clock < t {
+                    clock += dt;
+                    want += 1;
+                }
+                assert_eq!(got, want, "t0 {t0} dt {dt} t {t}");
             }
         }
     }

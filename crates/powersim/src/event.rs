@@ -37,12 +37,14 @@
 //! sources flip on the fixed-step loop's own steps.
 //!
 //! One plan runner ([`PlanRun`]) drives every profile and span:
-//! [`PowerSystem::run_profile`], [`EventStepper::run_profile_steps`] and
-//! [`EventStepper::run_const`]. It steps per-step pieces and guard-band
-//! blocks itself and runs each anchored chunk inline, through one
-//! dispatch table ([`run_chunk`]) onto one step body ([`ChunkLoop::step`]),
-//! before committing it. Runs are simulated one at a time: the chunk step
-//! is throughput-bound, so lock-stepping independent runs gains nothing.
+//! [`PowerSystem::run_profile`], [`EventStepper::run_profile_steps`],
+//! [`EventStepper::run_const`] and [`EventStepper::run_idle_until`]. It
+//! steps per-step pieces and guard-band blocks itself, through the
+//! kernel's one literal [`PowerSystem::step`] call, and runs each anchored
+//! chunk inline, through one dispatch table ([`run_chunk`]) onto one step
+//! body ([`ChunkLoop::step`]), before committing it. Runs are simulated
+//! one at a time: the chunk step is throughput-bound, so lock-stepping
+//! independent runs gains nothing.
 //!
 //! Chunks keep no itemized energy ledger. A committed chunk meters only
 //! the energy delivered to the load, which is exact in closed form
@@ -245,13 +247,15 @@ pub(crate) fn in_scope(sys: &PowerSystem, cfg: &RunConfig) -> bool {
 /// Drives the same plant state as [`PowerSystem::step`] — afterwards the
 /// system's buffer voltages, monitor state, clock, and delivered-energy
 /// meter are where a fixed-step caller would have left them (to ~1e-12 V
-/// idle, ~1e-11 V under load) — but advances quiet spans with the
+/// per chunk idle, a few 1e-12 V over a 1.8 s charge, ~1e-11 V under
+/// load) — but advances quiet spans with the
 /// anchored-Taylor chunk loop, or its closed-form stride, instead of one
 /// Newton solve per step. Once a chunk commits, the plant keeps no
 /// itemized ledger ([`PowerSystem::ledger`] is `None`).
-/// Device models port their hand-rolled `step()` loops to
-/// [`EventStepper::run_const`]; `run_profile` goes through the internal
-/// piece planner.
+/// It is how library code advances a plant outside the fixed-step
+/// reference loop: device models, the intermittent runtime and the
+/// schedulers run their loads, idle spans and charge waits on its spans,
+/// and `run_profile` goes through the internal piece planner.
 pub struct EventStepper<'a> {
     sys: &'a mut PowerSystem,
     dt: f64,
@@ -358,7 +362,8 @@ impl<'a> EventStepper<'a> {
         sink: Sink<'_>,
     ) -> SpanEnd {
         let plan = [Piece::Const { i: i_load, steps }];
-        self.run_plan(Cow::Borrowed(&plan), None, Amps::ZERO, brk, sink)
+        let run = PlanRun::new(Cow::Borrowed(&plan), None, Amps::ZERO, brk);
+        self.run_plan(run, sink)
     }
 
     /// Runs the first `steps` grid steps of `profile` with `offset` added
@@ -378,19 +383,12 @@ impl<'a> EventStepper<'a> {
         sink: Sink<'_>,
     ) -> SpanEnd {
         let plan = plan_pieces(profile, self.dt, steps, offset);
-        self.run_plan(Cow::Owned(plan), Some(profile.cursor()), offset, brk, sink)
+        let run = PlanRun::new(Cow::Owned(plan), Some(profile.cursor()), offset, brk);
+        self.run_plan(run, sink)
     }
 
-    /// Runs a piece plan to its end on a [`PlanRun`], every chunk inline.
-    fn run_plan(
-        &mut self,
-        plan: Cow<'_, [Piece]>,
-        cursor: Option<ProfileCursor<'_>>,
-        offset: Amps,
-        brk: BreakOn,
-        mut sink: Sink<'_>,
-    ) -> SpanEnd {
-        let mut run = PlanRun::new(plan, cursor, offset, brk);
+    /// Runs a plan to its end, every chunk inline.
+    fn run_plan(&mut self, mut run: PlanRun<'_>, mut sink: Sink<'_>) -> SpanEnd {
         run.run_inline(self, &mut sink);
         match run.broke {
             None => SpanEnd::Completed,
@@ -410,54 +408,14 @@ impl<'a> EventStepper<'a> {
     /// step's (synthesised from the chunk state when the crossing falls on
     /// a chunk's last step).
     pub fn run_idle_until(&mut self, steps: usize, level: Option<Volts>) -> SpanEnd {
-        let start = self.sys.monitor().state();
-        let reached = |sys: &PowerSystem| level.is_some_and(|l| sys.v_node() >= l);
-        let mut acc = Acc::new();
-        let mut k = 0;
-        while k < steps {
-            let remaining = steps - k;
-            let mut done = 0;
-            if let Some((charge, phase_steps)) =
-                self.span_action(Amps::ZERO, remaining, BreakOn::Never)
-            {
-                if let Some(mut chunk) = self.prepare_chunk(Amps::ZERO, charge, phase_steps) {
-                    if let Some(level) = level {
-                        let bound = self.level_bound(&chunk.prep, level.get());
-                        chunk.prep.params.hi = chunk.prep.params.hi.min(bound);
-                    }
-                    run_chunk(&mut chunk, None);
-                    self.commit_chunk(&chunk, &mut acc);
-                    done = chunk.tally.done;
-                }
-            }
-            if done > 0 {
-                k += done;
-                // Every committed step but the last left a state the next
-                // step's bound checked; only the last can have crossed.
-                if reached(self.sys) {
-                    let out = StepOutput {
-                        t: self.sys.time(),
-                        v_node: self.sys.last_v(),
-                        i_in: Amps::ZERO,
-                        delivering: false,
-                        collapsed: false,
-                        monitor: start,
-                    };
-                    return SpanEnd::Broke { steps: k, out };
-                }
-                continue;
-            }
-            for i in 0..remaining.min(REAL_BLOCK) {
-                let out = self.sys.step(Amps::ZERO, Seconds::new(self.dt));
-                k += 1;
-                if out.monitor != start || reached(self.sys) {
-                    self.counters.real_steps += i as u64 + 1;
-                    return SpanEnd::Broke { steps: k, out };
-                }
-            }
-            self.counters.real_steps += remaining.min(REAL_BLOCK) as u64;
-        }
-        SpanEnd::Completed
+        let plan = [Piece::Const {
+            i: Amps::ZERO,
+            steps,
+        }];
+        let mut run = PlanRun::new(Cow::Borrowed(&plan), None, Amps::ZERO, BreakOn::Never);
+        run.level = level.map(Volts::get);
+        run.monitor = Some(self.sys.monitor().state());
+        self.run_plan(run, None)
     }
 
     /// Upper bound on an unloaded chunk's solved node voltage `v` that keeps
@@ -1087,6 +1045,11 @@ struct PlanRun<'p> {
     /// Added to each `Piece::Each` step's current.
     offset: Amps,
     brk: BreakOn,
+    /// [`EventStepper::run_idle_until`]'s stop rule: stop after a step
+    /// whose open-circuit voltage reaches `level` or whose monitor state
+    /// differs from `monitor`.
+    level: Option<f64>,
+    monitor: Option<MonitorState>,
     /// The current piece and the steps done inside it.
     piece: usize,
     off: usize,
@@ -1112,6 +1075,8 @@ impl<'p> PlanRun<'p> {
             cursor,
             offset,
             brk,
+            level: None,
+            monitor: None,
             piece: 0,
             off: 0,
             k: 0,
@@ -1163,7 +1128,12 @@ impl<'p> PlanRun<'p> {
             return None;
         }
         let (charge, max_steps) = st.span_action(i, remaining, self.brk)?;
-        st.prepare_chunk(i, charge, max_steps)
+        let mut chunk = st.prepare_chunk(i, charge, max_steps)?;
+        if let Some(level) = self.level {
+            let bound = st.level_bound(&chunk.prep, level);
+            chunk.prep.params.hi = chunk.prep.params.hi.min(bound);
+        }
+        Some(chunk)
     }
 
     /// One literal [`PowerSystem::step`], observed and break-checked
@@ -1177,19 +1147,37 @@ impl<'p> PlanRun<'p> {
         }
         self.off += 1;
         self.k += 1;
-        if breaks(self.brk, i, &out) {
+        let left = self.monitor.is_some_and(|m| out.monitor != m);
+        if left || self.reached(st.sys) || breaks(self.brk, i, &out) {
             self.broke = Some(out);
         }
         self.broke.is_some()
     }
 
     /// Commits a chunk from [`PlanRun::next_chunk`] once it has run. A
-    /// chunk that committed nothing forces one real-step block.
+    /// chunk that committed nothing forces one real-step block. Only a
+    /// chunk's last step can reach the level (the bound checked the rest),
+    /// and chunks cross no monitor threshold.
     fn commit(&mut self, st: &mut EventStepper<'_>, chunk: &Chunk) {
+        let done = chunk.tally.done;
         st.commit_chunk(chunk, &mut self.acc);
-        self.off += chunk.tally.done;
-        self.k += chunk.tally.done;
-        self.force_real = chunk.tally.done == 0;
+        self.off += done;
+        self.k += done;
+        self.force_real = done == 0;
+        if done > 0 && self.reached(st.sys) {
+            self.broke = Some(StepOutput {
+                t: st.sys.time(),
+                v_node: st.sys.last_v(),
+                i_in: Amps::ZERO,
+                delivering: false,
+                collapsed: false,
+                monitor: st.sys.monitor().state(),
+            });
+        }
+    }
+
+    fn reached(&self, sys: &PowerSystem) -> bool {
+        self.level.is_some_and(|l| sys.v_node().get() >= l)
     }
 
     /// Runs the plan to its end, every chunk inline.

@@ -12,9 +12,10 @@
 //! a plant battery reaching every chunk shape (2-, 3- and 4-branch banks
 //! under every charge mode, windowed sources flipping inside constant
 //! pieces, constant-power ramps, single-branch strides, out-of-scope
-//! plants), and the idle-span break of `EventStepper::run_idle_until`
-//! (the step the open-circuit voltage reaches a level or the monitor
-//! changes state). The delivered-energy meter, the one energy figure both
+//! plants), the idle-span break of `EventStepper::run_idle_until` (the
+//! step the open-circuit voltage reaches a level or the monitor changes
+//! state), and `PowerSystem::run_idle` against the literal step loop it
+//! replaced. The delivered-energy meter, the one energy figure both
 //! kernels keep, agrees to 1e-12 relative across the plant battery.
 
 use culpeo_loadgen::LoadProfile;
@@ -558,11 +559,11 @@ fn assert_idle_agrees(sys: &PowerSystem, steps: usize, level: Option<Volts>) -> 
     fixed
 }
 
-/// Constant current, constant power, and a window whose flips fall
-/// between grid steps (a flip exactly on a step is decided by the last
-/// ulp of the summed clock, which chunked and literal stepping round
-/// differently).
-fn charging_harvesters() -> [Harvester; 3] {
+/// Constant current, constant power, a window whose flips fall between
+/// grid steps, and one whose flips fall exactly on grid steps, where the
+/// gate is decided by the last ulp of the summed clock: chunks advance
+/// the clock bitwise as the literal steps do, so both kinds agree.
+fn charging_harvesters() -> [Harvester; 4] {
     [
         Harvester::ConstantCurrent(Amps::from_milli(3.0)),
         Harvester::ConstantPower(Watts::from_milli(5.0)),
@@ -571,6 +572,12 @@ fn charging_harvesters() -> [Harvester; 3] {
             period: Seconds::from_milli(50.37),
             duty: 0.5,
             phase: Seconds::from_micro(13.0),
+        },
+        Harvester::Windowed {
+            i: Amps::from_milli(4.0),
+            period: Seconds::from_milli(20.0),
+            duty: 0.35,
+            phase: Seconds::from_milli(1.3),
         },
     ]
 }
@@ -677,4 +684,33 @@ fn idle_without_reachable_level_runs_to_completion() {
         assert_idle_agrees(&sys, 30_000, Some(Volts::new(2.4))),
         None
     );
+}
+
+#[test]
+fn run_idle_matches_the_literal_loop() {
+    // From an enabled plant that charges to V_high and holds there, and
+    // from a browned-out one that recharges through the monitor's edge.
+    // The chunk step rounds about an ulp per step apart from the literal
+    // one, so a 1.8 s charge ends a few 1e-12 V off; the clock is exact.
+    let dt = Seconds::from_micro(100.0);
+    let duration = Seconds::new(3.0);
+    for h in charging_harvesters() {
+        let enabled = plant(15.0, 10.0, 2.2, h);
+        let mut browned = plant(15.0, 3.3, 1.62, h);
+        while browned.monitor().output_enabled() {
+            let _ = browned.step(Amps::from_milli(60.0), dt);
+        }
+        for sys in [enabled, browned] {
+            let (mut literal, mut event) = (sys.clone(), sys);
+            for _ in 0..duration.steps(dt) {
+                let _ = literal.step(Amps::ZERO, dt);
+            }
+            event.run_idle(duration, dt);
+            assert_eq!(event.ledger(), None, "{h:?}: no chunk committed");
+            assert_eq!(event.time().get().to_bits(), literal.time().get().to_bits());
+            assert_eq!(event.monitor().state(), literal.monitor().state());
+            let dv = (event.v_node() - literal.v_node()).abs().get();
+            assert!(dv < 1e-11, "{h:?}: plant state off by {dv:e} V");
+        }
+    }
 }

@@ -152,7 +152,7 @@ pub fn replay_on(
     for (i, launch) in prefix.iter().enumerate() {
         let wait = launch.start_s - sys.time().get();
         if wait > idle_dt.get() {
-            let _ = sys.run_idle(Seconds::new(wait), idle_dt);
+            sys.run_idle(Seconds::new(wait), idle_dt);
         }
         // The open-loop schedule launches regardless of monitor state —
         // that is exactly the failure mode Theorem 1 exists to prevent.

@@ -64,7 +64,7 @@ fn culpeo_r_estimates_are_dispatchable_and_tight() {
                 err.get() > -0.02 * range && err.get() < 0.10 * range,
                 "{} via {:?}: err = {}",
                 load.label(),
-                profiler.kind(),
+                profiler,
                 err
             );
         }
