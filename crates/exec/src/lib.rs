@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod protocol;
-pub mod shard;
 pub mod shim;
 mod telemetry;
 

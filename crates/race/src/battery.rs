@@ -1,5 +1,5 @@
-//! The race battery: five protocol invariants proved by exhaustive
-//! bounded exploration, and five seeded mutants the checker must
+//! The race battery: seven protocol invariants proved by exhaustive
+//! bounded exploration, and seven seeded mutants the checker must
 //! refute.
 //!
 //! Each *model* instantiates the **real protocol code** —
@@ -23,7 +23,6 @@
 use crate::explore::{explore, Counterexample, Options};
 use crate::model;
 use culpeo_exec::protocol as exec_protocol;
-use culpeo_exec::shard as exec_shard;
 use culpeo_exec::shim::{AtomicBoolShim, AtomicU64Shim, AtomicUsizeShim, CondvarShim, MutexShim};
 use culpeo_served::protocol as served_protocol;
 use culpeo_served::protocol::Enqueue;
@@ -49,7 +48,7 @@ impl Default for BatteryConfig {
         Self {
             // One more than the explorer's default: the battery is a
             // proof artifact, so it buys extra schedule coverage
-            // (~19k interleavings, still single-digit seconds).
+            // (46 489 interleavings in all).
             preemptions: 3,
             seed: 0xC01D_CAFE,
             max_interleavings: 50_000,
@@ -440,78 +439,6 @@ fn completion_wake(rearm_before_take: bool) {
     drop(tx);
 }
 
-/// Shard hand-off: two schedulers racing one generation-tagged claim
-/// word must advance every shard exactly once, produce exactly one last
-/// finisher (who owes the round publication), and leave stale-
-/// generation claims impossible once the next round opens.
-fn exec_shard_handoff() {
-    shard_handoff(true);
-}
-
-fn shard_handoff(atomic_finish: bool) {
-    const SHARDS: usize = 3;
-    let state = Arc::new(<model::AtomicUsize as AtomicUsizeShim>::new(
-        exec_shard::round_word(0),
-    ));
-    let done = Arc::new(<model::AtomicUsize as AtomicUsizeShim>::new(0));
-
-    let mut schedulers = Vec::new();
-    for w in 0..2 {
-        let state = Arc::clone(&state);
-        let done = Arc::clone(&done);
-        schedulers.push(model::spawn(&format!("scheduler-{w}"), move || {
-            let mut claimed = Vec::new();
-            let mut published = 0usize;
-            while let Some(shard) = exec_shard::claim_shard(&*state, 0, SHARDS) {
-                claimed.push(shard);
-                let last = if atomic_finish {
-                    exec_shard::finish_shard(&*done, SHARDS)
-                } else {
-                    // The mutant: the finish counter's RMW split into a
-                    // load and a store — finishes can be lost (no
-                    // publisher: the fleet wedges at the round barrier)
-                    // or double-counted (two publishers).
-                    let d = done.load(Ordering::SeqCst);
-                    done.store(d + 1, Ordering::SeqCst);
-                    d + 1 == SHARDS
-                };
-                if last {
-                    exec_shard::open_round(&*state, 1);
-                    published += 1;
-                }
-            }
-            (claimed, published)
-        }));
-    }
-
-    let mut all = Vec::new();
-    let mut publishers = 0;
-    for s in schedulers {
-        let (claimed, published) = s.join().expect("schedulers do not panic");
-        all.extend(claimed);
-        publishers += published;
-    }
-    all.sort_unstable();
-    assert_eq!(
-        all,
-        (0..SHARDS).collect::<Vec<_>>(),
-        "each shard must be advanced exactly once per round"
-    );
-    assert_eq!(
-        publishers, 1,
-        "exactly one scheduler owes the round publication"
-    );
-    assert_eq!(
-        exec_shard::word_gen(state.load(Ordering::SeqCst)),
-        1,
-        "the publication must open the next generation"
-    );
-    assert!(
-        exec_shard::claim_shard(&*state, 0, SHARDS).is_none(),
-        "stale-generation claims must fail once the round turned"
-    );
-}
-
 /// Store group commit: two writers racing the real
 /// [`culpeo_store::commit::commit_durable`] — whichever becomes the
 /// fsync leader and however wakes coalesce, no writer's append call may
@@ -622,12 +549,6 @@ fn mutant_commit_ack_first() {
 /// completion, and parks the reactor forever.
 fn mutant_drain_take_first() {
     completion_wake(false);
-}
-
-/// The shard finish counter's RMW split into load + store: the round's
-/// publication obligation can vanish (fleet wedge) or double.
-fn mutant_finish_split() {
-    shard_handoff(false);
 }
 
 /// The claim RMW split into a load and a store: two workers can both
@@ -816,12 +737,6 @@ const MODELS: &[ModelSpec] = &[
         run: served_completion_wake,
     },
     ModelSpec {
-        name: "exec-shard-handoff",
-        invariant: "each shard advanced once; one publisher turns the round",
-        threads: 3,
-        run: exec_shard_handoff,
-    },
-    ModelSpec {
         name: "store-group-commit",
         invariant: "no append acks before an fsync covering it completes",
         threads: 3,
@@ -865,12 +780,6 @@ const MUTANTS: &[MutantSpec] = &[
         breaks: "completion drain takes the queue before re-arming the wake flag",
         expected: "deadlock",
         run: mutant_drain_take_first,
-    },
-    MutantSpec {
-        name: "finish-split-rmw",
-        breaks: "shard finish counter split into load + store",
-        expected: "panic",
-        run: mutant_finish_split,
     },
     MutantSpec {
         name: "commit-ack-first",
@@ -1101,23 +1010,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_handoff_holds() {
-        let r = run_model("exec-shard-handoff", &quick(7));
-        assert!(r.holds, "{:?}", r.counterexample);
-        assert!(r.interleavings > 10, "exploration actually branched");
-    }
-
-    #[test]
     fn take_first_drain_deadlocks() {
         let r = run_mutant("drain-take-first", &quick(7));
         assert!(r.caught, "expected {} got {}", r.expected, r.observed);
         assert!(!r.trace.is_empty(), "a refutation carries its schedule");
-    }
-
-    #[test]
-    fn split_finish_counter_is_refuted() {
-        let r = run_mutant("finish-split-rmw", &quick(7));
-        assert!(r.caught, "expected {} got {}", r.expected, r.observed);
     }
 
     #[test]

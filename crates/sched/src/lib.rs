@@ -37,4 +37,4 @@ pub use admission::{admit_plan, AdmissionConfig, AdmissionDecision, AdmissionRep
 pub use event::{EventClass, EventSource};
 pub use policy::{derive_thresholds, ChargePolicy, PolicyThresholds};
 pub use task::{AppSpec, Task};
-pub use trial::{mean_capture_rate, run_trial, run_trial_counted, ClassStats, TrialResult};
+pub use trial::{run_trial, run_trial_counted, ClassStats, TrialResult};

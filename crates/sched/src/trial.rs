@@ -452,26 +452,6 @@ fn choose_work(
     }
 }
 
-/// Convenience: the mean capture rate of `trials` seeded trials.
-#[must_use]
-pub fn mean_capture_rate(
-    app: &AppSpec,
-    policy: ChargePolicy,
-    duration: Seconds,
-    trials: u32,
-    class: &str,
-) -> f64 {
-    assert!(trials > 0, "need at least one trial");
-    let sum: f64 = (0..trials)
-        .map(|k| {
-            run_trial(app, policy, duration, 1000 + u64::from(k))
-                .class(class)
-                .capture_rate()
-        })
-        .sum();
-    sum / f64::from(trials)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
